@@ -16,7 +16,7 @@ from .moves import MagmaTerm, commutator_expand, eta, fold_l, fold_prime
 from .quotients import (LieCanonical, PrimeCanonical, RelationSpan, TensorElement,
                         canonical_l, canonical_prime, choose_head,
                         choose_head_by_letter, ell_map, g_map, g_prime_map,
-                        g_tilde, relation_span, y_reduce)
+                        g_tilde, relation_span)
 from .scalars import InputError, ModInt, ResourceLimitError
 from .textio import (parse_chain, parse_magma, parse_swingword, render_chain,
                      render_magma, render_swingword, render_tensor)
@@ -42,5 +42,5 @@ __all__ = [
     "relation_span", "render_chain", "render_magma", "render_swingword",
     "render_tensor", "reverse", "rho", "rho_alt", "run_suite", "section4_table",
     "to_vertebrate", "tree_from_json", "tree_to_json", "validate",
-    "witt_multidegree", "witt_total", "y_reduce",
+    "witt_multidegree", "witt_total",
 ]

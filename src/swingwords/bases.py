@@ -16,7 +16,7 @@ from .chains import Chain, Multidegree, Word
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
-from .quotients import canonical_l, canonical_prime
+from .quotients import canonical_l, g_image_key
 from .scalars import InputError, ResourceLimitError
 
 DEFAULT_MAX_BLOCK = 2_000_000
@@ -59,10 +59,6 @@ class BasisSet:
         }
 
 
-def _eta_row(word: Word) -> dict[Word, int]:
-    return dict(eta_word(word))
-
-
 def lie_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
     """Greedy lexicographic selection of words with independent left-fold
     canonical forms; the count matches the necklace number."""
@@ -73,17 +69,12 @@ def lie_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
     for word in enum_words(md, max_block):
         if space.rank == target:
             break
-        if space.insert(_eta_row(word)):
+        if space.insert(eta_word(word)):
             chosen.append(word)
     if len(chosen) != target:
         raise ArithmeticError(
             f"basis selection found {len(chosen)} words, formula says {target}")
     return BasisSet(md, "lie", chosen, {"rank": len(chosen), "target": target})
-
-
-def _prime_row(p: int, word: Word):
-    image = canonical_prime(Chain.of_word(p, word)).image
-    return dict(image.terms)
 
 
 def h_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
@@ -97,7 +88,7 @@ def h_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
     for word in enum_words(md, max_block):
         if space.rank == target:
             break
-        if space.insert(_prime_row(p, word)):
+        if space.insert(g_image_key(Chain.of_word(p, word))):
             chosen.append(word)
     if len(chosen) != target:
         raise ArithmeticError(
@@ -109,29 +100,28 @@ def h_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
     return BasisSet(md, "h", chosen, certificate)
 
 
+def ell_ranks(pairs, p: int) -> tuple[int, int]:
+    """Ranks of the span of eta(u) (x) letter over the given (u, letter) pairs
+    in the tensor space, and of its image under the re-attachment map ell."""
+    ambient = RowSpace()
+    image = RowSpace()
+    for u, letter in pairs:
+        terms = eta_word(u).items()
+        if not terms:
+            continue
+        ambient.insert({(w, letter): c for w, c in terms})
+        lie = canonical_l(Chain(p, {w + (letter,): c for w, c in terms}))
+        image.insert(dict(lie.chain.terms))
+    return ambient.rank, image.rank
+
+
 def _ell_kernel_dim(md: Multidegree) -> int:
     """dim ker of the re-attachment map on (Lie part) tensor (letters), per
     multidegree: ambient rank minus image rank, all by exact row reduction."""
-    p = len(md)
-    ambient = RowSpace()
-    image = RowSpace()
-    for letter, count in enumerate(md, start=1):
-        if count < 1:
-            continue
-        left_md = md[:letter - 1] + (count - 1,) + md[letter:]
-        if sum(left_md) == 0:
-            ambient.insert({((), letter): 1})
-            image.insert({(letter,): 1})
-            continue
-        for u in enum_words(left_md):
-            row = {(w, letter): c for w, c in eta_word(u).items()}
-            if not row:
-                continue
-            ambient.insert(row)
-            appended = Chain(p, {w + (letter,): c for w, c in eta_word(u).items()})
-            lie = canonical_l(appended)
-            image.insert({w: c for w, c in lie.chain.terms.items()})
-    return ambient.rank - image.rank
+    pairs = ((u, letter) for letter, count in enumerate(md, start=1) if count
+             for u in enum_words(md[:letter - 1] + (count - 1,) + md[letter:]))
+    ambient, image = ell_ranks(pairs, len(md))
+    return ambient - image
 
 
 # The degree-9, 9-letter table: letter-usage patterns (zeros suppressed,
@@ -292,7 +282,7 @@ def evenrun_experiment(m, variants: list[RunPredicate] | None = None,
         passing = [w for w in words if predicate.accepts(w)]
         space = RowSpace()
         for w in passing:
-            space.insert(_eta_row(w))
+            space.insert(eta_word(w))
         results.append({
             "variant": predicate.name,
             "count": len(passing),

@@ -5,6 +5,10 @@ zero coefficients pruned after every arithmetic step, so equality of chains is
 exact equality of normal forms. Chains are immutable after construction and
 every operation is a pure function, so concurrent evaluation on independent
 inputs is safe and bit-identical to sequential evaluation.
+
+`accumulate` is the one place that sums keyed coefficients and prunes zeros;
+every linear map of the package (chain arithmetic, eta, the folds, bead
+expansion, the tensor images, tree expansion) builds its result through it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,19 @@ def word_multidegree(word: Word, p: int) -> Multidegree:
 
 def reverse_word(word: Word) -> Word:
     return word[::-1]
+
+
+def accumulate(pairs: Iterable[tuple[object, object]], out: dict | None = None) -> dict:
+    """Sum (key, coefficient) pairs into `out`, dropping keys that reach zero."""
+    if out is None:
+        out = {}
+    for key, coeff in pairs:
+        acc = out.get(key, 0) + coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
 
 
 class Chain:
@@ -104,14 +121,7 @@ class Chain:
 
     def __add__(self, other: "Chain") -> "Chain":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word, 0) + coeff
-            if acc:
-                out[word] = acc
-            else:
-                out.pop(word, None)
-        return Chain(self.p, out)
+        return Chain(self.p, accumulate(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
@@ -127,16 +137,8 @@ class Chain:
     def __mul__(self, other: "Chain") -> "Chain":
         """Concatenation product, extended bilinearly; the empty word is 1."""
         self._check_compatible(other)
-        out: dict[Word, object] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                acc = out.get(word, 0) + c1 * c2
-                if acc:
-                    out[word] = acc
-                else:
-                    out.pop(word, None)
-        return Chain(self.p, out)
+        return Chain(self.p, accumulate((w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+                                        for w2, c2 in other.terms.items()))
 
     def reverse(self) -> "Chain":
         return Chain(self.p, {w[::-1]: c for w, c in self.terms.items()})

@@ -114,6 +114,12 @@ def _chain_payload(chain: Chain) -> dict:
     return {"p": chain.p, "chain": render_chain(chain)}
 
 
+# suite -> (parameter that --max-degree sets, parameter that --p sets); rho
+# turns --max-degree into its two leg bounds instead
+_VERIFY_PARAMS = {"lemmas": ("max_total", "p"), "exactness": ("max_degree", "p_max"),
+                  "rho": (None, "p"), "maxlen": ("max_degree", "p")}
+
+
 def _run(args) -> int:
     if getattr(args, "char", None) is not None:
         check_characteristic(args.char)
@@ -190,28 +196,16 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
+        degree_param, p_param = _VERIFY_PARAMS[args.suite]
         params = {}
-        if args.suite == "lemmas":
-            if args.max_degree is not None:
-                params["max_total"] = args.max_degree
-            if args.p is not None:
-                params["p"] = args.p
-        elif args.suite == "exactness":
-            if args.max_degree is not None:
-                params["max_degree"] = args.max_degree
-            if args.p is not None:
-                params["p_max"] = args.p
-        elif args.suite == "rho":
-            if args.max_degree is not None:
+        if args.max_degree is not None:
+            if args.suite == "rho":
                 params["max_legs"] = min(max(3, args.max_degree), 7)
                 params["exhaustive_legs"] = max(3, min(args.max_degree, 6))
-            if args.p is not None:
-                params["p"] = args.p
-        elif args.suite == "maxlen":
-            if args.max_degree is not None:
-                params["max_degree"] = args.max_degree
-            if args.p is not None:
-                params["p"] = args.p
+            else:
+                params[degree_param] = args.max_degree
+        if args.p is not None:
+            params[p_param] = args.p
         report = run_suite(args.suite, **params)
         lines = [f"{r.status.upper():4s} | {r.anchor} | expected: {r.expected} | "
                  f"computed: {r.computed}" for r in report.records]

@@ -5,6 +5,10 @@ smallest column, rows are normalized to leading coefficient 1, and inserting a
 row back-eliminates its pivot from the stored rows, so the stored basis is the
 reduced row echelon form of everything inserted. Insertion order therefore
 does not affect the final basis, only which inputs report as rank-increasing.
+
+Invariant: every stored row is zero at every pivot column but its own. So
+clearing one pivot column of a row never changes its entry at another, and
+`reduce` clears each pivot column the row has in one pass.
 """
 
 from __future__ import annotations
@@ -35,37 +39,23 @@ class RowSpace:
             return {c: v for c, v in row.items() if v}
         return {c: v % char for c, v in row.items() if v % char}
 
+    def _axpy(self, row: dict, factor, pivot: dict) -> None:
+        """row -= factor * pivot, in place, pruning zeros (mod char if set)."""
+        char = self.char
+        for c, v in pivot.items():
+            acc = row.get(c, 0) - factor * v
+            if char is not None:
+                acc %= char
+            if acc:
+                row[c] = acc
+            else:
+                row.pop(c, None)
+
     def reduce(self, row: dict) -> dict:
         """Normal form of a row modulo the stored space."""
-        row = self._clean(dict(row))
-        char = self.char
-        while row:
-            col = min(row)
-            pivot = self.pivots.get(col)
-            if pivot is None:
-                break
-            factor = row[col]
-            for c, v in pivot.items():
-                acc = row.get(c, 0) - factor * v
-                if char is not None:
-                    acc %= char
-                if acc:
-                    row[c] = acc
-                else:
-                    row.pop(c, None)
-        # eliminate any remaining pivot columns past the leading one
+        row = self._clean(row)
         for col in [c for c in row if c in self.pivots]:
-            factor = row.get(col, 0)
-            if not factor:
-                continue
-            for c, v in self.pivots[col].items():
-                acc = row.get(c, 0) - factor * v
-                if char is not None:
-                    acc %= char
-                if acc:
-                    row[c] = acc
-                else:
-                    row.pop(c, None)
+            self._axpy(row, row[col], self.pivots[col])
         return row
 
     def contains(self, row: dict) -> bool:
@@ -78,24 +68,12 @@ class RowSpace:
             return False
         col = min(row)
         inv = _inverse(row[col], self.char)
-        char = self.char
-        if char is None:
-            normalized = {c: v * inv for c, v in row.items()}
-        else:
-            normalized = {c: (v * inv) % char for c, v in row.items()}
+        normalized = self._clean({c: v * inv for c, v in row.items()})
         # back-eliminate the new pivot column from existing rows
         for other in self.pivots.values():
             factor = other.get(col)
-            if not factor:
-                continue
-            for c, v in normalized.items():
-                acc = other.get(c, 0) - factor * v
-                if char is not None:
-                    acc %= char
-                if acc:
-                    other[c] = acc
-                else:
-                    other.pop(c, None)
+            if factor:
+                self._axpy(other, factor, normalized)
         self.pivots[col] = normalized
         return True
 
@@ -109,9 +87,6 @@ class RowSpace:
         if self.char != other.char or set(self.pivots) != set(other.pivots):
             return False
         return all(self.pivots[c] == other.pivots[c] for c in self.pivots)
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return NotImplemented
 
 
 def row_space(rows, char: int | None = None) -> RowSpace:

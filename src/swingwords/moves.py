@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .chains import Chain, Word
+from .chains import Chain, Word, accumulate
 from .scalars import InputError
 
 MagmaTerm = Union[int, tuple]
@@ -36,32 +36,16 @@ def eta_word(word: Word) -> dict[Word, int]:
         result = {word: 1}
     else:
         last = word[-1:]
-        prefix = eta_word(word[:-1])
-        result = {}
-        for w, c in prefix.items():
-            left = last + w
-            result[left] = result.get(left, 0) + c
-            right = w + last
-            acc = result.get(right, 0) - c
-            if acc:
-                result[right] = acc
-            else:
-                result.pop(right, None)
-        result = {w: c for w, c in result.items() if c}
+        prefix = eta_word(word[:-1]).items()
+        result = accumulate((last + w, c) for w, c in prefix)
+        accumulate(((w + last, -c) for w, c in prefix), result)
     _ETA_MEMO[word] = result
     return result
 
 
 def _linear_extension(chain: Chain, word_map) -> Chain:
-    out: dict[Word, object] = {}
-    for word, coeff in chain.terms.items():
-        for w, c in word_map(word).items():
-            acc = out.get(w, 0) + coeff * c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-    return Chain(chain.p, out)
+    return Chain(chain.p, accumulate((w, coeff * c) for word, coeff in chain.terms.items()
+                                     for w, c in word_map(word).items()))
 
 
 def eta(chain: Chain) -> Chain:
@@ -135,24 +119,10 @@ def expand_word(term: MagmaTerm) -> dict[Word, int]:
     if isinstance(term, int):
         result = {(term,): 1}
     else:
-        left = expand_word(term[0])
-        right = expand_word(term[1])
-        result = {}
-        for w1, c1 in left.items():
-            for w2, c2 in right.items():
-                c = c1 * c2
-                fwd = w1 + w2
-                acc = result.get(fwd, 0) + c
-                if acc:
-                    result[fwd] = acc
-                else:
-                    result.pop(fwd, None)
-                bwd = w2 + w1
-                acc = result.get(bwd, 0) - c
-                if acc:
-                    result[bwd] = acc
-                else:
-                    result.pop(bwd, None)
+        left, right = expand_word(term[0]), expand_word(term[1]).items()
+        pairs = [(w1, w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right]
+        result = accumulate((w1 + w2, c) for w1, w2, c in pairs)
+        accumulate(((w2 + w1, -c) for w1, w2, c in pairs), result)
     _EXPAND_MEMO[term] = result
     return result
 

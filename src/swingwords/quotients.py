@@ -19,10 +19,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Literal
 
-from .chains import Chain, Multidegree, Word, word_multidegree
+from .chains import Chain, Multidegree, Word, accumulate, word_multidegree
 from .linalg import RowSpace
 from .moves import eta, eta_word, fold_l, fold_l_word, fold_prime_word
-from .scalars import InputError, ResourceLimitError, check_characteristic, invert_integer
+from .scalars import (InputError, ModInt, ResourceLimitError, check_characteristic,
+                      invert_integer)
 
 Family = Literal["l", "prime"]
 
@@ -89,14 +90,8 @@ class TensorElement:
             return TensorElement(self.p, self.degree, self.terms)
         if self.p != other.p or self.degree != other.degree:
             raise InputError("mismatched tensor elements")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return TensorElement(self.p, self.degree, out)
+        return TensorElement(self.p, self.degree,
+                             accumulate(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + other.scale(-1)
@@ -108,15 +103,8 @@ class TensorElement:
 
     def appended_chain(self) -> Chain:
         """The chain obtained by re-attaching each letter after its left factor."""
-        out: dict[Word, object] = {}
-        for (word, letter), coeff in self.terms.items():
-            key = word + (letter,)
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return Chain(self.p, out)
+        return Chain(self.p, accumulate((word + (letter,), coeff)
+                                        for (word, letter), coeff in self.terms.items()))
 
     def grouped(self) -> list[tuple[int, Chain]]:
         """Per-letter left-factor chains, for display and interop."""
@@ -200,13 +188,7 @@ class RelationSpan:
                     block.insert({word: 1})
                 continue
             for k in range(2, degree + 1):
-                row = dict(fold_word(k, word))
-                acc = row.get(word, 0) - 1
-                if acc:
-                    row[word] = acc
-                else:
-                    row.pop(word, None)
-                block.insert(row)
+                block.insert(accumulate([(word, -1)], dict(fold_word(k, word))))
 
     @property
     def rank(self) -> int:
@@ -224,18 +206,23 @@ class RelationSpan:
         return chains
 
     def reduce(self, chain: Chain) -> Chain:
-        """Normal form of a degree-homogeneous chain modulo the relations."""
+        """Normal form of a degree-homogeneous chain modulo the relations.
+
+        Over F_q residue and rational coefficients are first mapped to their
+        integer residues mod q, so every kind of chain reduces alike.
+        """
         if chain.is_zero():
             return chain
         if chain.degree() != self.degree:
             raise InputError("chain degree does not match the relation span")
         per_md: dict[Multidegree, dict[Word, object]] = {}
         for word, coeff in chain.terms.items():
+            if self.char is not None and not isinstance(coeff, int):
+                coeff = (ModInt(0, self.char) + coeff).value
             per_md.setdefault(word_multidegree(word, self.p), {})[word] = coeff
         out: dict[Word, object] = {}
         for md, row in per_md.items():
-            for word, coeff in self.blocks[md].reduce(row).items():
-                out[word] = coeff
+            out.update(self.blocks[md].reduce(row))
         return Chain(self.p, out)
 
     def contains(self, chain: Chain) -> bool:
@@ -272,71 +259,64 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     return LieCanonical(degree, eta(chain).scale(scale))
 
 
+def _split(word: Word, coeff) -> Iterable[tuple[tuple[Word, int], object]]:
+    """coeff * (eta(prefix) tensor last letter): the unscaled split of a word."""
+    last = word[-1]
+    return (((u, last), coeff * c) for u, c in eta_word(word[:-1]).items())
+
+
 def _g_image_scaled(word: Word) -> dict[tuple[Word, int], int]:
     """g(word) scaled by (degree - 1): an integer tensor-coordinate vector."""
     cached = _PRIME_IMAGE_MEMO.get(word)
     if cached is not None:
         return cached
     n = len(word)
-    out: dict[tuple[Word, int], int] = {}
-
-    def add_g_prime(w: Word, coeff: int) -> None:
-        sign = coeff if (n - 2) % 2 == 0 else -coeff
-        last = w[-1]
-        for u, c in eta_word(w[:-1]).items():
-            key = (u, last)
-            acc = out.get(key, 0) + sign * c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-
-    add_g_prime(word, 1)
+    sign = 1 if n % 2 == 0 else -1
+    out = accumulate(_split(word, sign))
     for w, c in fold_l_word(n, word).items():
-        add_g_prime(w, -c)
+        accumulate(_split(w, -sign * c), out)
     if n <= _PRIME_IMAGE_MEMO_MAX_DEGREE:
         _PRIME_IMAGE_MEMO[word] = out
     return out
 
 
-def g_prime_map(chain: Chain) -> TensorElement:
-    """Split each word into (canonical prefix) tensor (last letter)."""
-    degree = chain.degree()
-    if degree is None:
-        raise InputError("the zero chain has no well-defined split degree")
-    if degree < 2:
-        raise InputError("splitting requires words of length >= 2")
-    inv = Fraction(1, degree - 1) if (degree - 2) % 2 == 0 else Fraction(-1, degree - 1)
+def g_image_key(chain: Chain) -> dict[tuple[Word, int], object]:
+    """The integer-scaled primed class key: (degree - 1) * g(chain) in tensor
+    coordinates. Chains of one degree are equal in the primed quotient exactly
+    when their keys are equal."""
     out: dict[tuple[Word, int], object] = {}
     for word, coeff in chain.terms.items():
-        last = word[-1]
-        for u, c in eta_word(word[:-1]).items():
-            key = (u, last)
-            acc = out.get(key, 0) + coeff * c * inv
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return TensorElement(chain.p, degree, out)
+        accumulate(((key, coeff * c) for key, c in _g_image_scaled(word).items()), out)
+    return out
 
 
-def g_map(chain: Chain) -> TensorElement:
-    """g = g' - g' after the top left-fold; kills every primed relation."""
+def _split_scale(chain: Chain) -> tuple[int, object]:
+    """The degree n >= 2 of a chain and 1/(n - 1) in its coefficient field;
+    over F_q with q dividing n - 1 this raises ZeroDivisionError for every
+    nonzero chain, whether or not its image vanishes."""
     degree = chain.degree()
     if degree is None:
         raise InputError("the zero chain has no well-defined degree")
     if degree < 2:
         raise InputError("the tensor image requires degree >= 2")
-    inv = Fraction(1, degree - 1)
+    return degree, next(iter(chain.terms.values())) * 0 + Fraction(1, degree - 1)
+
+
+def g_prime_map(chain: Chain) -> TensorElement:
+    """Split each word into (canonical prefix) tensor (last letter)."""
+    degree, scale = _split_scale(chain)
+    sign = 1 if degree % 2 == 0 else -1
     out: dict[tuple[Word, int], object] = {}
     for word, coeff in chain.terms.items():
-        for key, c in _g_image_scaled(word).items():
-            acc = out.get(key, 0) + coeff * c * inv
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return TensorElement(chain.p, degree, out)
+        accumulate(_split(word, sign * coeff), out)
+    return TensorElement(chain.p, degree, {k: v * scale for k, v in out.items()})
+
+
+def g_map(chain: Chain) -> TensorElement:
+    """g = g' - g' after the top left-fold; kills every primed relation."""
+    degree, scale = _split_scale(chain)
+    return TensorElement(chain.p, degree,
+                         {k: v * scale for k, v in g_image_key(chain).items()})
 
 
 def canonical_prime(chain: Chain) -> PrimeCanonical:
@@ -391,12 +371,3 @@ def choose_head_by_letter(chain: Chain, letter: int) -> Chain:
                 "head choice needs a unique occurrence")
         out = out + choose_head(word, positions[0], chain.p).scale(coeff)
     return out
-
-
-def y_reduce(word: Iterable[int], v: Chain) -> Chain:
-    """Return zero when v is exactly twice word*eta(word), else v unchanged."""
-    w = tuple(word)
-    ref = Chain.of_word(v.p, w)
-    if v == (ref * eta(ref)).scale(2):
-        return Chain.zero(v.p)
-    return v

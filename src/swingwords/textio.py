@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .chains import Chain, Word
+from .chains import Chain, Word, accumulate
 from .moves import MagmaTerm
 from .scalars import InputError, ModInt, coeff_str, make_coefficient
 
@@ -67,11 +67,7 @@ def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
             tokens.next()
             sign = 1 if tok == "+" else -1
         word, coeff = _parse_term(tokens, p, char)
-        acc = terms.get(word, 0) + (coeff if sign == 1 else -coeff)
-        if acc:
-            terms[word] = acc
-        else:
-            terms.pop(word, None)
+        accumulate([(word, coeff if sign == 1 else -coeff)], terms)
         first = False
     return Chain(p, terms)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .chains import Chain, Word
+from .chains import Chain, Word, accumulate
 from .moves import MagmaTerm, check_magma, expand_word, magma_nodes
 from .quotients import PrimeCanonical, canonical_prime
 from .scalars import InputError
@@ -283,17 +283,9 @@ def rho(sw: SwingWord, p: int) -> Chain:
     terms: dict[Word, int] = {(sw.tail,): sw.sign}
     for bead in sw.beads:
         check_magma(bead, p)
-        expansion = expand_word(bead)
-        merged: dict[Word, int] = {}
-        for w1, c1 in terms.items():
-            for w2, c2 in expansion.items():
-                key = w1 + w2
-                acc = merged.get(key, 0) + c1 * c2
-                if acc:
-                    merged[key] = acc
-                else:
-                    merged.pop(key, None)
-        terms = merged
+        expansion = expand_word(bead).items()
+        terms = accumulate((w1 + w2, c1 * c2) for w1, c1 in terms.items()
+                           for w2, c2 in expansion)
     return Chain(p, {w + (sw.head,): c for w, c in terms.items()})
 
 
@@ -357,18 +349,10 @@ def rho_alt(sw: SwingWord, schedule, p: int) -> Chain:
         a, b = flatten(left), flatten(right)
         return b + a if flipped else a + b
 
-    out: dict[Word, int] = {}
-    for sign, beads in terms:
-        word = (sw.tail,)
-        for node in beads:
-            word += flatten(node)
-        word += (sw.head,)
-        acc = out.get(word, 0) + sign
-        if acc:
-            out[word] = acc
-        else:
-            out.pop(word, None)
-    return Chain(p, out)
+    def word_of(beads) -> Word:
+        return (sw.tail,) + sum((flatten(node) for node in beads), ()) + (sw.head,)
+
+    return Chain(p, accumulate((word_of(beads), sign) for sign, beads in terms))
 
 
 def diagram_class(tree: JacobiTree) -> PrimeCanonical:
@@ -389,20 +373,45 @@ def tree_to_json(tree: JacobiTree) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _int_list(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise InputError(f"tree JSON: {what} must be a list of integers")
+    return value
+
+
+def _int_keyed(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"tree JSON: {what!r} must be an object")
+    try:
+        return {int(k): v for k, v in value.items()}
+    except ValueError:
+        raise InputError(f"tree JSON: {what!r} keys must be vertex ids") from None
+
+
 def tree_from_json(text: str, p: int | None = None) -> JacobiTree:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid tree JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputError("tree JSON must be an object")
     for key in ("vertices", "edges", "legs"):
         if key not in payload:
             raise InputError(f"tree JSON is missing {key!r}")
-    legs = {int(v): letter for v, letter in payload["legs"].items()}
+    legs = _int_keyed(payload["legs"], "legs")
+    if not all(isinstance(letter, int) for letter in legs.values()):
+        raise InputError("tree JSON: leg letters must be integers")
+    edges = payload["edges"]
+    if not isinstance(edges, list) or any(len(_int_list(e, "each edge")) != 2 for e in edges):
+        raise InputError("tree JSON: 'edges' must be a list of vertex pairs")
+    cyclic = {v: tuple(_int_list(order, "each cyclic order"))
+              for v, order in _int_keyed(payload.get("cyclic", {}), "cyclic").items()}
     if p is None:
         p = payload.get("p") or max(legs.values(), default=1)
-    tree = JacobiTree(payload["vertices"], [tuple(e) for e in payload["edges"]],
-                      {int(v): tuple(o) for v, o in payload.get("cyclic", {}).items()},
-                      legs, p)
+    if not isinstance(p, int):
+        raise InputError("tree JSON: 'p' must be an integer")
+    tree = JacobiTree(_int_list(payload["vertices"], "'vertices'"),
+                      [tuple(e) for e in edges], cyclic, legs, p)
     validate(tree)
     return tree
 

@@ -13,12 +13,13 @@ import random
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
-from .chains import Chain, Word
+from .bases import ell_ranks
+from .chains import Chain, Word, accumulate
 from .dims import h_dim_total, rank_oracle, witt_total
 from .linalg import RowSpace, kernel_basis
 from .moves import eta, eta_word, fold_l
-from .quotients import (_g_image_scaled, canonical_l, canonical_prime,
-                        choose_head_by_letter, g_map, g_tilde, ell_map, relation_span)
+from .quotients import (canonical_l, canonical_prime, choose_head_by_letter, g_image_key,
+                        g_map, g_tilde, ell_map, relation_span)
 from .scalars import InputError
 from .trees import (Vertebrate, as_swap, diagram_class, enumerate_topologies,
                     ihx_expand, read_swingword, relabel_legs, rho, rho_alt,
@@ -350,20 +351,12 @@ def suite_exactness(max_degree: int = 6, p_max: int = 3,
             h_dim = h_dim_total(n, p)
             report.add(f"rank(Im g) = h-dimension [n={n}, p={p}]", image.rank == h_dim,
                        str(h_dim), str(image.rank))
-            ambient = RowSpace()
-            ell_image = RowSpace()
-            for u in _words(p, n - 1):
-                for b in range(1, p + 1):
-                    row = {(w2, b): c for w2, c in eta_word(u).items()}
-                    if not row:
-                        continue
-                    ambient.insert(row)
-                    appended = Chain(p, {w2 + (b,): c for w2, c in eta_word(u).items()})
-                    ell_image.insert(dict(canonical_l(appended).chain.terms))
+            ambient, ell_image = ell_ranks(
+                ((u, b) for u in _words(p, n - 1) for b in range(1, p + 1)), p)
             report.add(f"tensor-space ambient rank [n={n}, p={p}]",
-                       ambient.rank == p * witt_total(n - 1, p),
-                       str(p * witt_total(n - 1, p)), str(ambient.rank))
-            ker_ell = ambient.rank - ell_image.rank
+                       ambient == p * witt_total(n - 1, p),
+                       str(p * witt_total(n - 1, p)), str(ambient))
+            ker_ell = ambient - ell_image
             report.add(f"dim ker ell = h-dimension [n={n}, p={p}]", ker_ell == h_dim,
                        str(h_dim), str(ker_ell))
             span = relation_span(n, p, "prime")
@@ -412,28 +405,20 @@ def _all_bead_tuples(total: int, p: int):
                 yield (bead,) + rest
 
 
-def _scaled_class(tree) -> tuple:
-    """Integer-scaled canonical key of a tree's primed class; same scale per
+def _scaled_class(tree, head: int | None = None, tail: int | None = None) -> tuple:
+    """Integer-scaled canonical key of a tree's primed class, read from the
+    given head and tail legs (default: to_vertebrate's choice); same scale per
     degree, so equality matches canonical_prime equality."""
-    sw = read_swingword(to_vertebrate(tree))
-    return _scaled_class_of(rho(sw, tree.p))
+    v = to_vertebrate(tree) if head is None else Vertebrate(tree, head, tail)
+    return tuple(sorted(g_image_key(rho(read_swingword(v), tree.p)).items()))
 
 
-def _scaled_class_of(chain: Chain) -> tuple:
-    out: dict = {}
-    for w, c in chain.terms.items():
-        for key, v in _g_image_scaled(w).items():
-            acc = out.get(key, 0) + c * v
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return tuple(sorted(out.items()))
-
-
-def _scaled_class_choice(tree, head: int, tail: int) -> tuple:
-    sw = read_swingword(Vertebrate(tree, head, tail))
-    return _scaled_class_of(rho(sw, tree.p))
+def _head_tail_disagreements(tree) -> tuple[int, int]:
+    """Number of (head, tail) leg choices, and how many of them give another
+    class than the first choice."""
+    legs = tree.leg_vertices()
+    classes = [_scaled_class(tree, h, t) for h in legs for t in legs if h != t]
+    return len(classes), sum(c != classes[0] for c in classes)
 
 
 def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
@@ -465,19 +450,10 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
     for legs in range(3, exhaustive_legs + 1):
         for shape in shapes[legs]:
             for letters in product(range(1, p + 1), repeat=legs):
-                tree = relabel_legs(shape, letters, p)
-                leg_ids = tree.leg_vertices()
-                base = None
-                for head in leg_ids:
-                    for tail in leg_ids:
-                        if head == tail:
-                            continue
-                        cls = _scaled_class_choice(tree, head, tail)
-                        total += 1
-                        if base is None:
-                            base = cls
-                        elif cls != base:
-                            bad += 1
+                choices, disagreements = _head_tail_disagreements(
+                    relabel_legs(shape, letters, p))
+                total += choices
+                bad += disagreements
     report.add(f"head/tail choices agree exhaustively through {exhaustive_legs} legs "
                f"(p={p})", bad == 0, f"0 failures over {total} choices", f"{bad} failures")
 
@@ -495,7 +471,7 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
             leg_ids = tree.leg_vertices()
             pairs = [(h, t) for h in leg_ids for t in leg_ids if h != t]
             chosen = rng.sample(pairs, 4)
-            classes = [_scaled_class_choice(tree, h, t) for h, t in chosen]
+            classes = [_scaled_class(tree, h, t) for h, t in chosen]
             total += 1
             bad += any(c != classes[0] for c in classes)
             if dim7 == 0:
@@ -509,19 +485,10 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
     total = bad = 0
     distinct_legs = min(6, max_legs)
     for shape in shapes[distinct_legs]:
-        tree = relabel_legs(shape, range(1, distinct_legs + 1), distinct_legs)
-        leg_ids = tree.leg_vertices()
-        base = None
-        for head in leg_ids:
-            for tail in leg_ids:
-                if head == tail:
-                    continue
-                cls = _scaled_class_choice(tree, head, tail)
-                total += 1
-                if base is None:
-                    base = cls
-                elif cls != base:
-                    bad += 1
+        choices, disagreements = _head_tail_disagreements(
+            relabel_legs(shape, range(1, distinct_legs + 1), distinct_legs))
+        total += choices
+        bad += disagreements
     report.add(f"head/tail choices agree on all {distinct_legs}-leg shapes "
                "with distinct letters",
                bad == 0, f"0 failures over {total} choices", f"{bad} failures")
@@ -549,14 +516,9 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
                 for index, (u, v) in enumerate(tree.edges):
                     if u in tree.legs or v in tree.legs:
                         continue
-                    merged: dict = {}
-                    for part, coeff in ihx_expand(tree, index):
-                        for key, value in _scaled_class(part):
-                            acc = merged.get(key, 0) + coeff * value
-                            if acc:
-                                merged[key] = acc
-                            else:
-                                merged.pop(key, None)
+                    merged = accumulate((key, coeff * value)
+                                        for part, coeff in ihx_expand(tree, index)
+                                        for key, value in _scaled_class(part))
                     total += 1
                     bad += tuple(sorted(merged.items())) != base
     report.add(f"internal-edge expansions sum to the class (through "

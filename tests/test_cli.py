@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
 from swingwords.cli import main
-from swingwords.textio import render_tensor
+from swingwords.textio import render_chain, render_tensor
 from swingwords.trees import tree_to_json
-from swingwords.quotients import canonical_prime
+from swingwords.quotients import canonical_l, canonical_prime
 from swingwords.chains import Chain
 
 
@@ -146,6 +148,16 @@ def test_char_dividing_required_scale_exits_two(capsys):
     assert "characteristic" in err
 
 
+@pytest.mark.parametrize("chain", ["[1,1,1,1]", "[1,2,1,2] + [2,1,1,2]"])
+def test_char_dividing_scale_refused_whatever_the_image(capsys, chain):
+    # 3 divides n - 1 = 3; the first image is empty and the second chain is a
+    # fold relation, yet both are refused as every degree-4 chain over F_3 is
+    code, _, err = run(capsys, "reduce", "--space", "prime",
+                       "--chain", chain, "-p", "2", "--char", "3")
+    assert code == 2
+    assert "characteristic" in err
+
+
 def test_char_two_rejected(capsys):
     code, _, err = run(capsys, "eta", "--chain", "[1]", "-p", "2", "--char", "2")
     assert code == 2
@@ -158,6 +170,44 @@ def test_residue_mode_chain(capsys):
     assert code == 0
     # 1/2 mod 5 is 3: the projection of [2,1] is 3*[2,1] - 3*[1,2] over F_5
     assert out.strip() == "2*[1,2] + 3*[2,1]"
+
+
+def test_span_fallback_takes_residue_chains(capsys):
+    # 3 divides the degree, so canonical_l reduces against the relation span;
+    # the CLI parses ModInt coefficients, the library call below uses ints
+    code, out, _ = run(capsys, "reduce", "--space", "l", "--char", "3", "-p", "2",
+                       "--chain", "[1,2,1,2,1,2]")
+    assert (code, out) == (0, "2*[2,1,2,1,1,2]\n")
+    code, out, _ = run(capsys, "reduce", "--space", "l", "--char", "3", "-p", "2",
+                       "--chain", "[1,2,2]")
+    assert (code, out) == (0, "2*[2,1,2]\n")
+    library = canonical_l(Chain.of_word(2, (1, 2, 2)), 3)
+    assert library.method == "span"
+    assert render_chain(library.chain) == "2*[2,1,2]"
+
+
+@pytest.mark.parametrize("payload", [
+    '{"vertices": [1, 2], "edges": [[1, 2]], "legs": {"a": 1, "2": 2}}',
+    '{"vertices": [1, 2, 3, 4], "edges": [[1, 4], [2, 4], [3, 4]], '
+    '"cyclic": {"x": [0, 1, 2]}, "legs": {"1": 1, "2": 2, "3": 2}}',
+    '{"vertices": 4, "edges": [[1, 2]], "legs": {"1": 1, "2": 2}}',
+    '{"vertices": [1, [2]], "edges": [[1, 2]], "legs": {"1": 1, "2": 2}}',
+    '{"vertices": [1, 2], "edges": {"0": [1, 2]}, "legs": {"1": 1, "2": 2}}',
+    '{"vertices": [1, 2], "edges": [[1, 2, 3]], "legs": {"1": 1, "2": 2}}',
+    '{"vertices": [1, 2], "edges": [1, 2], "legs": {"1": 1, "2": 2}}',
+    '{"vertices": [1, 2], "edges": [[1, 2]], "legs": [1, 2]}',
+    '{"vertices": [1, 2, 3, 4], "edges": [[1, 4], [2, 4], [3, 4]], '
+    '"cyclic": {"4": 7}, "legs": {"1": 1, "2": 2, "3": 2}}',
+    '{"vertices": [1, 2], "edges": [[1, 2]], "legs": {"1": "a", "2": 2}}',
+    '{"vertices": [1, 2], "edges": [[1, 2]], "legs": {"1": 1, "2": 2}, "p": "x"}',
+    '"vertices edges legs"',
+])
+def test_malformed_tree_json_exits_two(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    code, out, err = run(capsys, "class", "--tree", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_dims_oracle_residue_mode(capsys):

@@ -9,8 +9,7 @@ from swingwords.linalg import RowSpace
 from swingwords.moves import eta, fold_l
 from swingwords.quotients import (TensorElement, canonical_l, canonical_prime,
                                   choose_head, choose_head_by_letter, ell_map,
-                                  g_map, g_prime_map, g_tilde, relation_span,
-                                  y_reduce)
+                                  g_map, g_prime_map, g_tilde, relation_span)
 from swingwords.scalars import InputError, ResourceLimitError
 
 
@@ -187,15 +186,6 @@ def test_choose_head_round_trip():
     c = Chain.of_word(4, (1, 2, 3, 4))
     state = fold_l(3, fold_l(2, fold_l(4, c)))
     assert choose_head_by_letter(state, 1) == c
-
-
-def test_y_reduce_examples():
-    w = (1, 2)
-    base = Chain.of_word(2, w)
-    v = (base * eta(base)).scale(2)
-    assert y_reduce(w, v).is_zero()
-    other = Chain.of_word(2, (1, 2, 1, 2))
-    assert y_reduce(w, other) == other
 
 
 def test_fold_absorption_degree7_exhaustive_two_letters():
