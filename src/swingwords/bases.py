@@ -9,7 +9,6 @@ involved stay small even when the word blocks are large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 from .chains import Chain, Multidegree, Word
@@ -37,7 +36,26 @@ def enum_words(m, max_block: int = DEFAULT_MAX_BLOCK) -> list[Word]:
     letters = []
     for letter, x in enumerate(md, start=1):
         letters.extend([letter] * x)
-    return sorted(set(permutations(letters)))
+    return list(_multiset_permutations(letters))
+
+
+def _multiset_permutations(letters: list[int]):
+    """The distinct permutations of a sorted list, in lexicographic order, at
+    constant amortized cost each (Knuth, TAOCP 4A, Algorithm L)."""
+    a = list(letters)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Command-line front end: parse chains and trees, dispatch computations, run
 verification suites, and emit deterministic text or JSON reports.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure (a failed suite record, or a
+certificate or rank cross-check that disagrees), 2 input error.
 """
 
 from __future__ import annotations
@@ -135,11 +136,12 @@ def _run(args) -> int:
 
     if args.command == "fold":
         chain = parse_chain(args.chain, alphabet, args.char)
+        # fold first, so a rejected index fails before the note is printed
+        result = fold_l(args.n, chain) if args.kind == "l" else fold_prime(args.n, chain)
         lengths = {len(w) for w in chain.terms}
         if args.n < 2 or (lengths and args.n > max(lengths)):
             print(f"note: fold index {args.n} is out of range for every term; "
                   "the move is the identity there", file=sys.stderr)
-        result = fold_l(args.n, chain) if args.kind == "l" else fold_prime(args.n, chain)
         _emit(_chain_payload(result), args.format, [render_chain(result)])
         return 0
 
@@ -255,6 +257,10 @@ def main(argv=None) -> int:
               "computation inverts, so it needs characteristic zero or a "
               "different prime", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a certificate or cross-check disagreed: a verification failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -133,11 +133,16 @@ def dimension_report(kind: str, *, n: int | None = None, p: int | None = None,
                      multidegree=None, oracle: bool = False,
                      char: int | None = None,
                      max_words: int | None = None) -> DimensionReport:
-    """Evaluate one dimension query, optionally cross-checked by row reduction."""
+    """Evaluate one dimension query, optionally cross-checked by row reduction.
+
+    The rank oracle checks totals over n and p only, so it is refused together
+    with a multidegree rather than silently dropped."""
+    if oracle and multidegree is not None:
+        raise InputError("the rank oracle checks totals over --n and --p; "
+                         "it does not take a multidegree")
     if kind == "witt":
         if multidegree is not None:
-            return dimension_report("necklace", multidegree=multidegree,
-                                    oracle=oracle, char=char)
+            return dimension_report("necklace", multidegree=multidegree)
         if n is None or p is None:
             raise InputError("witt needs --n and --p")
         value = witt_total(n, p)

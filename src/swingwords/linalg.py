@@ -1,10 +1,17 @@
 """Sparse exact row reduction over the rationals or a prime residue field.
 
 Rows are dicts keyed by sortable column labels. The pivot of a row is its
-smallest column, rows are normalized to leading coefficient 1, and inserting a
-row back-eliminates its pivot from the stored rows, so the stored basis is the
-reduced row echelon form of everything inserted. Insertion order therefore
-does not affect the final basis, only which inputs report as rank-increasing.
+smallest column, and inserting a row back-eliminates its pivot from the stored
+rows, so the stored basis is a fixed multiple of the reduced row echelon form
+of everything inserted. Insertion order therefore does not affect the final
+basis, only which inputs report as rank-increasing.
+
+Over the rationals elimination is fraction-free (Bareiss 1968): an incoming
+row has its denominators cleared once by their lcm, and every later step is
+integer arithmetic. Each stored row is primitive: an integer vector with
+content 1 and a positive leading entry, which is the one integer multiple of
+its reduced echelon row with those properties. Over F_q each stored row has
+leading entry 1.
 
 Invariant: every stored row is zero at every pivot column but its own. So
 clearing one pivot column of a row never changes its entry at another, and
@@ -14,16 +21,11 @@ clearing one pivot column of a row never changes its entry at another, and
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def _inverse(value, char: int | None):
-    if char is None:
-        return Fraction(1, 1) / Fraction(value)
-    return pow(value % char, char - 2, char)
+from math import gcd, lcm
 
 
 class RowSpace:
-    """An incrementally built row space in reduced echelon form."""
+    """An incrementally built row space in (scaled) reduced echelon form."""
 
     def __init__(self, char: int | None = None):
         self.char = char
@@ -33,11 +35,15 @@ class RowSpace:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _clean(self, row: dict) -> dict:
+    def _scaled(self, row: dict) -> tuple[dict, int]:
+        """(integer row, scale) with row / scale the input, zeros dropped;
+        over F_q the row of residues and scale 1."""
         char = self.char
-        if char is None:
-            return {c: v for c, v in row.items() if v}
-        return {c: v % char for c, v in row.items() if v % char}
+        if char is not None:
+            return {c: v % char for c, v in row.items() if v % char}, 1
+        row = {c: v for c, v in row.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        return {c: v.numerator * (den // v.denominator) for c, v in row.items()}, den
 
     def _axpy(self, row: dict, factor, pivot: dict) -> None:
         """row -= factor * pivot, in place, pruning zeros (mod char if set)."""
@@ -51,35 +57,86 @@ class RowSpace:
             else:
                 row.pop(c, None)
 
+    def _clear(self, row: dict, col, pivot: dict) -> int:
+        """row <- b*row - a*pivot, in place, so that row[col] becomes 0, with
+        a/b = row[col]/pivot[col] in lowest terms; returns the multiplier b,
+        which is 1 over F_q (stored leading entries are 1 there)."""
+        a, b = row[col], pivot[col]
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        if b != 1:
+            for c in row:
+                row[c] *= b
+        self._axpy(row, a, pivot)
+        return b
+
+    def _reduced(self, row: dict) -> tuple[dict, int]:
+        """(integer row, scale) whose quotient is the normal form of the input."""
+        row, scale = self._scaled(row)
+        pivots = self.pivots
+        for col in [c for c in row if c in pivots]:
+            scale *= self._clear(row, col, pivots[col])
+        return row, scale
+
     def reduce(self, row: dict) -> dict:
         """Normal form of a row modulo the stored space."""
-        row = self._clean(row)
-        for col in [c for c in row if c in self.pivots]:
-            self._axpy(row, row[col], self.pivots[col])
-        return row
+        row, scale = self._reduced(row)
+        if scale == 1:
+            return row
+        out = {}
+        for c, v in row.items():
+            q = Fraction(v, scale)
+            out[c] = q.numerator if q.denominator == 1 else q
+        return out
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self._reduced(row)[0]
 
     def insert(self, row: dict) -> bool:
         """Add a row; returns True when it enlarged the space."""
-        row = self.reduce(row)
-        if not row:
+        new, _ = self._reduced(row)
+        if not new:
             return False
-        col = min(row)
-        inv = _inverse(row[col], self.char)
-        normalized = self._clean({c: v * inv for c, v in row.items()})
+        col = min(new)
+        char = self.char
+        if char is None:
+            g = gcd(*new.values())
+            if new[col] < 0:
+                g = -g
+            if g != 1:
+                new = {c: v // g for c, v in new.items()}
+        else:
+            inv = pow(new[col], char - 2, char)
+            new = {c: v * inv % char for c, v in new.items()}
         # back-eliminate the new pivot column from existing rows
         for other in self.pivots.values():
-            factor = other.get(col)
-            if factor:
-                self._axpy(other, factor, normalized)
-        self.pivots[col] = normalized
+            if col in other:
+                self._clear(other, col, new)
+                if char is None:
+                    g = gcd(*other.values())
+                    if g != 1:
+                        for c in other:
+                            other[c] //= g
+        self.pivots[col] = new
         return True
 
     def rows(self) -> list[dict]:
         """The reduced echelon basis, ordered by pivot column."""
-        return [dict(self.pivots[c]) for c in sorted(self.pivots)]
+        return [self._echelon_row(c) for c in sorted(self.pivots)]
+
+    def _echelon_row(self, col) -> dict:
+        """The stored row at a pivot column, scaled to leading entry 1."""
+        row = self.pivots[col]
+        lead = row[col]
+        if lead == 1:
+            return dict(row)
+        out = {}
+        for c, v in row.items():
+            q = Fraction(v, lead)
+            out[c] = q.numerator if q.denominator == 1 else q
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, RowSpace):
@@ -107,14 +164,14 @@ def kernel_basis(rows: list[dict], columns: list, char: int | None = None) -> li
     per free column, in reduced form with free coordinate 1.
     """
     space = row_space(rows, char)
-    pivot_cols = set(space.pivots)
+    echelon = dict(zip(sorted(space.pivots), space.rows()))
     basis = []
     for free in columns:
-        if free in pivot_cols:
+        if free in echelon:
             continue
         vec = {free: 1}
-        for col in sorted(space.pivots):
-            coeff = space.pivots[col].get(free, 0)
+        for col, row in echelon.items():
+            coeff = row.get(free, 0)
             if coeff:
                 vec[col] = -coeff if char is None else (-coeff) % char
         basis.append(vec)

@@ -570,7 +570,21 @@ def suite_maxlen(chars: tuple[int, ...] = (3, 5), p: int = 2,
     return report
 
 
+# suite -> size parameter -> the smallest value at which every loop that the
+# parameter bounds runs; below it a suite would report a pass over no case
+_SIZE_MINIMUMS = {
+    "lemmas": {"max_total": 3, "p": 1},
+    "exactness": {"max_degree": 2, "p_max": 1, "kernel_max_degree": 1},
+    "rho": {"max_bead_leaves": 1, "max_legs": 3, "p": 1, "exhaustive_legs": 3},
+    "maxlen": {"p": 1, "max_degree": 1},
+}
+
+
 def run_suite(name: str, **params) -> Report:
+    for param, minimum in _SIZE_MINIMUMS.get(name, {}).items():
+        if params.get(param, minimum) < minimum:
+            raise InputError(f"suite {name} needs {param} >= {minimum}; "
+                             f"at {params[param]} some of its checks run over no case")
     if name == "lemmas":
         return suite_lemmas(**params)
     if name == "exactness":

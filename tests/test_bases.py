@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -133,3 +133,17 @@ def test_evenrun_experiment_reports():
                                 "matches_dimension"}
     report44 = evenrun_experiment((4, 4))
     assert report44["target_dimension"] == 8
+
+
+@pytest.mark.parametrize("md", [(1,), (0, 2), (2, 1), (1, 2, 0), (2, 2, 1),
+                                (3, 1, 2), (0, 2, 0, 2), (1, 1, 1, 1)])
+def test_enum_words_matches_sorted_distinct_permutations(md):
+    letters = [letter for letter, x in enumerate(md, start=1) for _ in range(x)]
+    assert enum_words(md) == sorted(set(permutations(letters)))
+
+
+def test_enum_words_6_6_without_walking_all_permutations():
+    # 12! = 479001600 permutations collapse to C(12, 6) = 924 words
+    words = enum_words((6, 6))
+    assert len(words) == 924
+    assert words == sorted(set(words))

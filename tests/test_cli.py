@@ -226,3 +226,44 @@ def test_byte_identical_repeated_invocations(capsys):
     _, out3, _ = run(capsys, "enumerate", "--space", "lie", "--multidegree", "2,2")
     _, out4, _ = run(capsys, "enumerate", "--space", "lie", "--multidegree", "2,2")
     assert out3 == out4
+
+
+def test_oracle_disagreement_exits_one(capsys, monkeypatch):
+    import swingwords.dims
+
+    monkeypatch.setattr(swingwords.dims, "rank_oracle", lambda *args, **kwargs: 99)
+    code, out, err = run(capsys, "dims", "h", "--n", "4", "--p", "2", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: rank oracle disagrees with the formula: 99 != 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "witt", "--multidegree", "2,2", "--oracle"],
+    ["dims", "h", "--multidegree", "2,2,1", "--oracle"],
+    ["dims", "necklace", "--multidegree", "2,2", "--oracle"],
+])
+def test_oracle_with_multidegree_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "does not take a multidegree" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "exactness", "--p", "0"],
+    ["verify", "--suite", "lemmas", "--max-degree", "0"],
+    ["verify", "--suite", "lemmas", "--max-degree", "2"],
+    ["verify", "--suite", "maxlen", "--max-degree", "0"],
+    ["verify", "--suite", "rho", "--p", "0"],
+])
+def test_verify_over_no_case_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "over no case" in err
+
+
+@pytest.mark.parametrize("kind", ["l", "prime"])
+def test_fold_index_below_one_errors_without_note(capsys, kind):
+    code, out, err = run(capsys, "fold", "--kind", kind, "--n", "0",
+                         "--chain", "[1,2]", "-p", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: fold index must be positive, got 0\n"

@@ -74,6 +74,7 @@ ONE_FORMAT = {
     "error_tree_missing_key": ["class", "--tree", "{inputs}/tree_missing_edges.json"],
     "error_bad_multidegree": ["enumerate", "--space", "h", "--multidegree", "a,b"],
     "error_oracle_too_large": ["dims", "h", "--n", "9", "--p", "9", "--oracle"],
+    "error_oracle_with_multidegree": ["dims", "witt", "--multidegree", "2,2", "--oracle"],
 }
 
 CASES = dict(ONE_FORMAT)

@@ -1,4 +1,7 @@
+import math
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from swingwords.linalg import RowSpace, kernel_basis, rank, row_space
 
@@ -53,3 +56,104 @@ def test_kernel_basis():
 def test_kernel_of_full_rank_matrix_is_empty():
     rows = [{0: 1}, {1: 1}]
     assert kernel_basis(rows, [0, 1]) == []
+
+
+# Differential check of the fraction-free elimination against a plain
+# Fraction Gauss-Jordan reference, on sparse rows with small and huge entries.
+
+COLUMNS = list(range(6))
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-10**40, 10**40),
+    st.fractions(max_denominator=10**12),
+)
+sparse_rows = st.dictionaries(st.sampled_from(COLUMNS), coefficients, max_size=4)
+row_lists = st.lists(sparse_rows, max_size=7)
+
+
+def _ref_axpy(row, factor, pivot):
+    for c, v in pivot.items():
+        acc = row.get(c, 0) - factor * v
+        if acc:
+            row[c] = acc
+        else:
+            row.pop(c, None)
+
+
+def _ref_reduce(pivots, row):
+    row = {c: Fraction(v) for c, v in row.items() if v}
+    for col, pivot in pivots.items():
+        if col in row:
+            _ref_axpy(row, row[col], pivot)
+    return row
+
+
+def _ref_rref(rows):
+    """Reduced echelon rows keyed by pivot column, and the insert flags."""
+    pivots, flags = {}, []
+    for row in rows:
+        row = _ref_reduce(pivots, row)
+        flags.append(bool(row))
+        if row:
+            col = min(row)
+            row = {c: v / row[col] for c, v in row.items()}
+            for other in pivots.values():
+                if col in other:
+                    _ref_axpy(other, other[col], row)
+            pivots[col] = row
+    return pivots, flags
+
+
+def _ref_kernel(pivots):
+    basis = []
+    for free in COLUMNS:
+        if free not in pivots:
+            vec = {free: 1}
+            vec.update({col: -row[free] for col, row in sorted(pivots.items())
+                        if row.get(free)})
+            basis.append(vec)
+    return basis
+
+
+def _integral_values_are_ints(row):
+    return all(isinstance(v, int) or v.denominator != 1 for v in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists, sparse_rows)
+def test_insert_rank_rows_and_reduce_match_reference(rows, probe):
+    pivots, flags = _ref_rref(rows)
+    space = RowSpace()
+    assert [space.insert(row) for row in rows] == flags
+    assert space.rank == len(pivots)
+    assert space.rows() == [pivots[c] for c in sorted(pivots)]
+    expected = _ref_reduce(pivots, probe)
+    normal = space.reduce(probe)
+    assert normal == expected
+    assert _integral_values_are_ints(normal)
+    assert space.contains(probe) == (not expected)
+    for row in rows:
+        assert space.contains(row)
+    # stored rows: primitive integer vectors, positive leading entry, zero at
+    # every other pivot column
+    for col, row in space.pivots.items():
+        assert all(isinstance(v, int) for v in row.values())
+        assert min(row) == col and row[col] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(c in space.pivots for c in row if c != col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists, st.randoms(use_true_random=False), row_lists)
+def test_equality_matches_reference_across_orders(rows, rng, others):
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert row_space(rows) == row_space(shuffled)
+    same = _ref_rref(rows)[0] == _ref_rref(others)[0]
+    assert (row_space(rows) == row_space(others)) == same
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists)
+def test_kernel_basis_matches_reference(rows):
+    assert kernel_basis(rows, COLUMNS) == _ref_kernel(_ref_rref(rows)[0])
