@@ -82,14 +82,7 @@ class RowSpace:
 
     def reduce(self, row: dict) -> dict:
         """Normal form of a row modulo the stored space."""
-        row, scale = self._reduced(row)
-        if scale == 1:
-            return row
-        out = {}
-        for c, v in row.items():
-            q = Fraction(v, scale)
-            out[c] = q.numerator if q.denominator == 1 else q
-        return out
+        return _divided(*self._reduced(row))
 
     def contains(self, row: dict) -> bool:
         return not self._reduced(row)[0]
@@ -124,19 +117,8 @@ class RowSpace:
 
     def rows(self) -> list[dict]:
         """The reduced echelon basis, ordered by pivot column."""
-        return [self._echelon_row(c) for c in sorted(self.pivots)]
-
-    def _echelon_row(self, col) -> dict:
-        """The stored row at a pivot column, scaled to leading entry 1."""
-        row = self.pivots[col]
-        lead = row[col]
-        if lead == 1:
-            return dict(row)
-        out = {}
-        for c, v in row.items():
-            q = Fraction(v, lead)
-            out[c] = q.numerator if q.denominator == 1 else q
-        return out
+        return [_divided(dict(self.pivots[c]), self.pivots[c][c])
+                for c in sorted(self.pivots)]
 
     def __eq__(self, other):
         if not isinstance(other, RowSpace):
@@ -144,6 +126,17 @@ class RowSpace:
         if self.char != other.char or set(self.pivots) != set(other.pivots):
             return False
         return all(self.pivots[c] == other.pivots[c] for c in self.pivots)
+
+
+def _divided(row: dict, scale: int) -> dict:
+    """row / scale, with an int wherever the quotient is integral."""
+    if scale == 1:
+        return row
+    out = {}
+    for c, v in row.items():
+        q = Fraction(v, scale)
+        out[c] = q.numerator if q.denominator == 1 else q
+    return out
 
 
 def row_space(rows, char: int | None = None) -> RowSpace:

@@ -570,8 +570,11 @@ def suite_maxlen(chars: tuple[int, ...] = (3, 5), p: int = 2,
     return report
 
 
-# suite -> size parameter -> the smallest value at which every loop that the
-# parameter bounds runs; below it a suite would report a pass over no case
+# suite -> size parameter -> smallest accepted value. Below it at least one
+# exhaustive family of checks that the parameter bounds is empty, and the suite
+# would report a pass over no case. Two records still read "over 0" at these
+# minimums: the lemmas' equal-length pairs below max_total 4 and the rho
+# suite's edge expansions below exhaustive_legs 4.
 _SIZE_MINIMUMS = {
     "lemmas": {"max_total": 3, "p": 1},
     "exactness": {"max_degree": 2, "p_max": 1, "kernel_max_degree": 1},
