@@ -45,31 +45,27 @@ class RowSpace:
         den = lcm(*(v.denominator for v in row.values()))
         return {c: v.numerator * (den // v.denominator) for c, v in row.items()}, den
 
-    def _axpy(self, row: dict, factor, pivot: dict) -> None:
-        """row -= factor * pivot, in place, pruning zeros (mod char if set)."""
+    def _clear(self, row: dict, col, pivot: dict) -> int:
+        """row <- b*row - a*pivot, in place, pruning zeros (mod char if set),
+        with a/b = row[col]/pivot[col] in lowest terms, so row[col] becomes 0.
+        Returns the multiplier b, which is 1 over F_q (stored leading entries
+        are 1 there)."""
+        a, b = row[col], pivot[col]
+        g = gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            for c in row:
+                row[c] *= b
         char = self.char
         for c, v in pivot.items():
-            acc = row.get(c, 0) - factor * v
+            acc = row.get(c, 0) - a * v
             if char is not None:
                 acc %= char
             if acc:
                 row[c] = acc
             else:
                 row.pop(c, None)
-
-    def _clear(self, row: dict, col, pivot: dict) -> int:
-        """row <- b*row - a*pivot, in place, so that row[col] becomes 0, with
-        a/b = row[col]/pivot[col] in lowest terms; returns the multiplier b,
-        which is 1 over F_q (stored leading entries are 1 there)."""
-        a, b = row[col], pivot[col]
-        g = gcd(a, b)
-        if g != 1:
-            a //= g
-            b //= g
-        if b != 1:
-            for c in row:
-                row[c] *= b
-        self._axpy(row, a, pivot)
         return b
 
     def _reduced(self, row: dict) -> tuple[dict, int]:
