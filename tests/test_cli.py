@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import swingwords.dims
 from swingwords.cli import main
 from swingwords.textio import render_chain, render_tensor
 from swingwords.trees import tree_to_json
@@ -229,8 +230,6 @@ def test_byte_identical_repeated_invocations(capsys):
 
 
 def test_oracle_disagreement_exits_one(capsys, monkeypatch):
-    import swingwords.dims
-
     monkeypatch.setattr(swingwords.dims, "rank_oracle", lambda *args, **kwargs: 99)
     code, out, err = run(capsys, "dims", "h", "--n", "4", "--p", "2", "--oracle")
     assert (code, out) == (1, "")
