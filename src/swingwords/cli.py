@@ -2,7 +2,8 @@
 verification suites, and emit deterministic text or JSON reports.
 
 Exit codes: 0 success, 1 verification failure (a failed suite record, or a
-certificate or rank cross-check that disagrees), 2 input error.
+certificate or rank cross-check that disagrees), 2 input error (including
+input nested too deeply to read).
 """
 
 from __future__ import annotations
@@ -251,6 +252,10 @@ def main(argv=None) -> int:
         return _run(args)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: input nested too deeply; nesting depth is limited to about "
+              f"{sys.getrecursionlimit()} levels", file=sys.stderr)
         return 2
     except ZeroDivisionError as exc:
         print(f"error: {exc}; the residue characteristic divides a scale this "

@@ -134,42 +134,27 @@ def _parse_word(tokens: _Tokens, p: int) -> Word:
         raise ChainSyntaxError("expected ',' or ']'", tokens.pos)
 
 
-def _abs_coeff(c):
-    if isinstance(c, ModInt):
-        return c, False
-    return (-c, True) if c < 0 else (c, False)
+def _signed_sum(terms) -> str:
+    """Join (coefficient, suffix) terms as 'c1*x - c2*y + ...', the first sign
+    attached and later ones spaced; '0' when there are no terms."""
+    pieces = []
+    for coeff, suffix in terms:
+        negative = not isinstance(coeff, ModInt) and coeff < 0
+        sign = ("- " if negative else "+ ") if pieces else ("-" if negative else "")
+        pieces.append(sign + coeff_str(-coeff if negative else coeff) + suffix)
+    return " ".join(pieces) or "0"
 
 
 def render_chain(chain: Chain) -> str:
     """Canonical text: sorted terms, explicit coefficients, '0' for zero."""
-    if chain.is_zero():
-        return "0"
-    pieces = []
-    for word, coeff in chain.iter_terms():
-        mag, negative = _abs_coeff(coeff)
-        body = coeff_str(mag)
-        if word:
-            body += "*[" + ",".join(str(a) for a in word) + "]"
-        if not pieces:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+    return _signed_sum((coeff, "*[" + ",".join(map(str, word)) + "]" if word else "")
+                       for word, coeff in chain.iter_terms())
 
 
 def render_tensor(tensor) -> str:
     """Flattened tensor text: coeff*([word] (x) letter) terms, '0' when zero."""
-    if tensor.is_zero():
-        return "0"
-    pieces = []
-    for (word, letter), coeff in tensor.iter_terms():
-        mag, negative = _abs_coeff(coeff)
-        body = f"{coeff_str(mag)}*([" + ",".join(str(a) for a in word) + f"] (x) {letter})"
-        if not pieces:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+    return _signed_sum((coeff, "*([" + ",".join(map(str, word)) + f"] (x) {letter})")
+                       for (word, letter), coeff in tensor.iter_terms())
 
 
 def parse_magma(text: str) -> MagmaTerm:

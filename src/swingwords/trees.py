@@ -95,16 +95,7 @@ def validate(tree: JacobiTree) -> None:
         if u == v:
             raise InputError("acyclic: self-loop")
     inc = tree.incidence()
-    seen = {tree.vertices[0]}
-    frontier = [tree.vertices[0]]
-    while frontier:
-        v = frontier.pop()
-        for e in inc[v]:
-            w = tree.edge_other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if len(seen) != len(tree.vertices):
+    if len(_parent_edges(tree, inc, tree.vertices[0])) != len(tree.vertices):
         raise InputError("connected: graph is not connected")
     if len(tree.edges) != len(tree.vertices) - 1:
         raise InputError("acyclic: graph contains a cycle")
@@ -124,6 +115,22 @@ def validate(tree: JacobiTree) -> None:
             order = tree.cyclic.get(v)
             if order is None or sorted(order) != sorted(inc[v]):
                 raise InputError(f"cyclic: vertex {v} needs a cyclic order of its 3 edges")
+
+
+def _parent_edges(tree: JacobiTree, inc: dict[int, list[int]],
+                  root: int) -> dict[int, int | None]:
+    """Walk the graph from root; map each vertex reached to the edge it was
+    reached by (None for the root)."""
+    parent_edge = {root: None}
+    frontier = [root]
+    while frontier:
+        x = frontier.pop()
+        for e in inc[x]:
+            y = tree.edge_other_end(e, x)
+            if y not in parent_edge:
+                parent_edge[y] = e
+                frontier.append(y)
+    return parent_edge
 
 
 def _check_letter(letter, p):
@@ -237,17 +244,7 @@ def read_swingword(v: Vertebrate) -> SwingWord:
     if v.head not in tree.legs or v.tail not in tree.legs:
         raise InputError("head and tail must be legs")
     inc = tree.incidence()
-    parent_edge: dict[int, int] = {}
-    seen = {v.tail}
-    frontier = [v.tail]
-    while frontier:
-        x = frontier.pop()
-        for e in inc[x]:
-            y = tree.edge_other_end(e, x)
-            if y not in seen:
-                seen.add(y)
-                parent_edge[y] = e
-                frontier.append(y)
+    parent_edge = _parent_edges(tree, inc, v.tail)
     column_edges = []
     x = v.head
     while x != v.tail:

@@ -5,7 +5,7 @@ import pytest
 import swingwords.dims
 from swingwords.cli import main
 from swingwords.textio import render_chain, render_tensor
-from swingwords.trees import tree_to_json
+from swingwords.trees import JacobiTree, tree_to_json
 from swingwords.quotients import canonical_l, canonical_prime
 from swingwords.chains import Chain
 
@@ -77,8 +77,6 @@ def test_class_command(tmp_path, capsys):
 
 
 def test_class_round_trips_from_library(tmp_path, capsys):
-    from swingwords.trees import JacobiTree
-
     tree = JacobiTree([1, 2, 3, 4], [(1, 4), (2, 4), (3, 4)], {4: (0, 1, 2)},
                       {1: 1, 2: 2, 3: 2}, 2)
     path = tmp_path / "y.json"
@@ -113,6 +111,9 @@ def test_verify_lemmas_small_via_cli(capsys):
     assert code == 0
     assert "suite lemmas: PASS" in out
     assert "PASS" in out and "INFO" in out
+    # equal-length pairs need total length 4: an empty family reads SKIP
+    assert ("SKIP | eta(eta(w1)eta(w2) + eta(w2)eta(w1)) = 0 for equal lengths | "
+            "expected: 0 failures over 0 pairs | computed: 0 failures") in out.splitlines()
 
 
 def test_verify_rho_small_via_cli(capsys):
@@ -266,3 +267,30 @@ def test_fold_index_below_one_errors_without_note(capsys, kind):
                          "--chain", "[1,2]", "-p", "2")
     assert (code, out) == (2, "")
     assert err == "error: fold index must be positive, got 0\n"
+
+
+def _comb_tree(depth: int) -> JacobiTree:
+    """Tail leg 1, head leg 2 and column vertex 3, carrying one bead that is a
+    comb `depth` vertices deep: vertex 4 + 2k has a leaf and the next vertex."""
+    edges = [(1, 3), (3, 2), (3, 4)]
+    for inner in range(4, 4 + 2 * depth, 2):
+        edges += [(inner, inner + 1), (inner, inner + 2)]
+    vertices = list(range(1, 5 + 2 * depth))
+    incident = {v: [i for i, edge in enumerate(edges) if v in edge] for v in vertices}
+    cyclic = {v: tuple(at) for v, at in incident.items() if len(at) == 3}
+    legs = {v: 1 + v % 2 for v, at in incident.items() if len(at) == 1}
+    return JacobiTree(vertices, edges, cyclic, legs, 2)
+
+
+def test_deep_nesting_exits_two_without_traceback(tmp_path, capsys):
+    depth = 1200
+    swingword = "<1 | " + "(" * depth + "1" + " 2)" * depth + " | 2>"
+    path = tmp_path / "comb.json"
+    path.write_text(tree_to_json(_comb_tree(1500)))
+    for argv in (["rho", "--swingword", swingword, "-p", "2"],
+                 ["class", "--tree", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input nested too deeply; nesting depth")
+        assert "Traceback" not in err
+

@@ -6,8 +6,10 @@ run at a smaller size, named in the case: `enumerate --space h` at (2,2,3)
 instead of (3,3,3), `verify --suite rho` at `--max-degree 5`, and the JSON
 forms of the lemma and exactness suites at `--max-degree 5`.
 
-`PYTHONPATH=src python tests/test_cli_golden.py` re-records every case from
-the given source tree; a recording changes only when the CLI's behaviour does.
+`PYTHONPATH=src python tests/test_cli_golden.py NAME...` re-records the named
+cases from the given source tree, and with no names every case; a recording
+changes only when the CLI's behaviour does, so name the cases a deliberate
+change is meant to alter.
 """
 
 import io
@@ -110,15 +112,20 @@ def test_golden_cli_case(name):
     assert got["stderr"] == expected["stderr"]
 
 
-def record() -> None:
-    for path in GOLDEN.glob("*.json"):
-        path.unlink()
-    for name, argv in sorted(CASES.items()):
-        payload = {"argv": argv, **run_case(argv)}
+def record(names=()) -> None:
+    """Re-record the named cases, or the whole corpus when none is named."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    if not names:
+        for path in GOLDEN.glob("*.json"):
+            path.unlink()
+    for name in sorted(names or CASES):
+        payload = {"argv": CASES[name], **run_case(CASES[name])}
         _golden_path(name).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
                                       encoding="utf-8")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])
     sys.exit(0)

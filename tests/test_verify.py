@@ -1,5 +1,8 @@
+from itertools import count
+
 import pytest
 
+import swingwords.verify
 from swingwords.scalars import InputError
 from swingwords.verify import (Report, kernel_matches_relations, run_suite,
                                suite_exactness, suite_lemmas, suite_maxlen,
@@ -62,6 +65,41 @@ def test_report_exit_codes():
     assert report.exit_code == 1
     payload = report.to_dict()
     assert payload["records"][1]["status"] == "fail"
+
+
+def test_report_tally_statuses():
+    report = Report("demo")
+    report.tally("holds", "cases", [True, True])
+    report.tally("breaks", "pairs", iter([True, False, False, True]))
+    report.tally("empty", "trees", (ok for ok in ()))
+    assert [(r.status, r.expected, r.computed) for r in report.records] == [
+        ("pass", "0 failures over 2 cases", "0 failures"),
+        ("fail", "0 failures over 4 pairs", "2 failures"),
+        ("skip", "0 failures over 0 trees", "0 failures"),
+    ]
+    assert (report.status, report.exit_code) == ("fail", 1)
+
+
+def test_report_of_skips_exits_zero():
+    report = Report("demo")
+    report.tally("empty", "cases", [])
+    report.tally("empty too", "pairs", [])
+    assert (report.status, report.exit_code) == ("pass", 0)
+    assert [r["status"] for r in report.to_dict()["records"]] == ["skip", "skip"]
+
+
+def test_sampled_tree_failing_twice_counts_once(monkeypatch):
+    # every class differs and is nonzero, and the space is reported zero: each
+    # sampled tree breaks both conditions of its check but is one failing case
+    fresh = count(1)
+    monkeypatch.setattr(swingwords.verify, "_scaled_class",
+                        lambda tree, head=None, tail=None: ((next(fresh), 1),))
+    monkeypatch.setattr(swingwords.verify, "rank_oracle", lambda *args: 0)
+    report = suite_rho(max_bead_leaves=1, max_legs=7, p=1, exhaustive_legs=3,
+                       samples_at_max=3)
+    sampled = [r for r in report.records if r.anchor.startswith("sampled 7-leg")]
+    assert [(r.status, r.expected, r.computed) for r in sampled] == [
+        ("fail", "0 failures over 3 trees", "3 failures")]
 
 
 def test_suites_are_deterministic():
