@@ -9,7 +9,11 @@ Fold relations extend on the right (a relation times a suffix is again a
 relation), which is what makes the prefix factor the canonicalizable one.
 
 The relation spans materialize both move families as row-reduced blocks per
-multidegree and serve as the independent equality oracle.
+multidegree and serve as the independent equality oracle. They are built by
+that same right extension: for k < n, fold_k(w.b) - w.b = (fold_k(w) - w).b,
+and the primed move agrees with the left one below the top index, so the
+degree-n span of either family is the degree-(n-1) left span with each letter
+appended, plus the family's top-index relations.
 """
 
 from __future__ import annotations
@@ -159,6 +163,16 @@ class RelationSpan:
 
     Blocks are kept per multidegree (the moves preserve multidegrees), with
     words as column labels, so membership and rank queries stay small.
+
+    The span is built upward from degree 1 by right extension (see the module
+    docstring): each stored row of the degree-(d-1) left span, re-keyed by
+    appending a letter b, is a stored row of the degree-d span. Appending b
+    keeps the column order, and different letters give disjoint supports, so
+    the re-keyed rows stay in stored form and need no elimination; only the
+    p^d top-index relations of degree d are inserted. The stored form is a
+    fixed multiple of the reduced echelon form of the span, so it does not
+    depend on this order. Over all degrees sum_{d<=n} p^d <= 2 p^n rows are
+    inserted for p >= 2, so the `max_words` bound on p^n bounds the work done.
     """
 
     def __init__(self, degree: int, p: int, family: Family, char: int | None = None,
@@ -176,19 +190,19 @@ class RelationSpan:
         self.p = p
         self.family = family
         self.char = char
-        self.blocks: dict[Multidegree, RowSpace] = {}
-        fold_word = fold_l_word if family == "l" else fold_prime_word
-        for word in product(range(1, p + 1), repeat=degree):
-            md = word_multidegree(word, p)
-            block = self.blocks.get(md)
-            if block is None:
-                block = self.blocks[md] = RowSpace(char)
-            if degree == 1:
-                if family == "prime":
-                    block.insert({word: 1})
-                continue
-            for k in range(2, degree + 1):
-                block.insert(accumulate([(word, -1)], dict(fold_word(k, word))))
+        blocks: dict[Multidegree, RowSpace] = {}
+        for d in range(1, degree + 1):
+            # the left span one degree up, then the top-index relations of
+            # this degree: the family's own at the last step, else left folds
+            blocks = _appended(blocks, p, char)
+            fold_word = fold_l_word if family == "l" or d < degree else fold_prime_word
+            for word in product(range(1, p + 1), repeat=d):
+                md = word_multidegree(word, p)
+                block = blocks.get(md)
+                if block is None:
+                    block = blocks[md] = RowSpace(char)
+                block.insert(accumulate([(word, -1)], dict(fold_word(d, word))))
+        self.blocks = blocks
 
     @property
     def rank(self) -> int:
@@ -206,7 +220,8 @@ class RelationSpan:
         return chains
 
     def reduce(self, chain: Chain) -> Chain:
-        """Normal form of a degree-homogeneous chain modulo the relations.
+        """Normal form of a degree-homogeneous chain modulo the relations,
+        over the chain's own alphabet (the moves keep each word's letters).
 
         Over F_q residue and rational coefficients are first mapped to their
         integer residues mod q, so every kind of chain reduces alike.
@@ -215,6 +230,11 @@ class RelationSpan:
             return chain
         if chain.degree() != self.degree:
             raise InputError("chain degree does not match the relation span")
+        if chain.p > self.p:
+            for word in chain.terms:
+                if max(word) > self.p:
+                    raise InputError(f"letter {max(word)} is outside the relation "
+                                     f"span's alphabet 1..{self.p}")
         per_md: dict[Multidegree, dict[Word, object]] = {}
         for word, coeff in chain.terms.items():
             if self.char is not None and not isinstance(coeff, int):
@@ -223,10 +243,32 @@ class RelationSpan:
         out: dict[Word, object] = {}
         for md, row in per_md.items():
             out.update(self.blocks[md].reduce(row))
-        return Chain(self.p, out)
+        return Chain(chain.p, out)
 
     def contains(self, chain: Chain) -> bool:
         return self.reduce(chain).is_zero()
+
+
+def _appended(blocks: dict[Multidegree, RowSpace], p: int,
+              char: int | None) -> dict[Multidegree, RowSpace]:
+    """Every stored row of every block times each letter b, as stored rows of
+    the blocks one degree up. A re-keyed row keeps its pivot and is zero at
+    every other pivot of its new block, so it is stored without elimination.
+    The appended column labels are made once per column and letter and shared
+    by every row that has that column."""
+    out: dict[Multidegree, RowSpace] = {}
+    for md, block in blocks.items():
+        columns = {c for row in block.pivots.values() for c in row}
+        for b in range(p):
+            target = md[:b] + (md[b] + 1,) + md[b + 1:]
+            space = out.get(target)
+            if space is None:
+                space = out[target] = RowSpace(char)
+            tail = (b + 1,)
+            keyed = {c: c + tail for c in columns}
+            for col, row in block.pivots.items():
+                space.pivots[keyed[col]] = {keyed[c]: v for c, v in row.items()}
+    return out
 
 
 def relation_span(degree: int, p: int, family: Family, char: int | None = None,

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from swingwords.bases import enum_words
 from swingwords.dims import (dimension_report, h_dim_multidegree, h_dim_total,
                              mobius, rank_oracle, witt_multidegree, witt_total)
 from swingwords.scalars import InputError, ResourceLimitError
@@ -51,24 +52,15 @@ def test_h_dim_multidegree_values():
     assert h_dim_multidegree((1,)) == 0
 
 
-def _lyndon_count(md):
-    # independent oracle: words strictly smaller than all proper rotations
-    letters = []
-    for letter, x in enumerate(md, start=1):
-        letters.extend([letter] * x)
-    from itertools import permutations
-
-    count = 0
-    for w in set(permutations(letters)):
-        if all(w < w[i:] + w[:i] for i in range(1, len(w))):
-            count += 1
-    return count
-
-
 def test_necklace_formula_matches_lyndon_counts():
-    for md in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 2, 1), (1, 1, 1),
-               (2, 2, 2), (4, 3), (3, 5)]:
-        assert witt_multidegree(md) == _lyndon_count(md), md
+    # every multidegree of total 1..8 over at most four letters; a Lyndon word
+    # is strictly smaller than each of its proper rotations
+    for md in product(range(9), repeat=4):
+        if not 1 <= sum(md) <= 8:
+            continue
+        lyndon = sum(all(w < w[i:] + w[:i] for i in range(1, len(w)))
+                     for w in enum_words(md))
+        assert witt_multidegree(md) == lyndon, md
 
 
 def test_witt_total_matches_lyndon_counts():

@@ -4,12 +4,13 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from swingwords.chains import Chain
+from swingwords import quotients
+from swingwords.chains import Chain, accumulate, word_multidegree
 from swingwords.linalg import RowSpace
-from swingwords.moves import eta, fold_l
-from swingwords.quotients import (TensorElement, canonical_l, canonical_prime,
-                                  choose_head, choose_head_by_letter, ell_map,
-                                  g_map, g_prime_map, g_tilde, relation_span)
+from swingwords.moves import eta, fold_l, fold_l_word, fold_prime_word
+from swingwords.quotients import (RelationSpan, TensorElement, canonical_l,
+                                  canonical_prime, choose_head, choose_head_by_letter,
+                                  ell_map, g_map, g_prime_map, g_tilde, relation_span)
 from swingwords.scalars import InputError, ResourceLimitError
 
 
@@ -93,6 +94,57 @@ def test_relation_span_reduce_decides_membership():
     rel = fold_l(3, Chain.of_word(2, (1, 2, 2))) - Chain.of_word(2, (1, 2, 2))
     assert span.contains(rel)
     assert not span.contains(Chain.of_word(2, (1, 2, 2)))
+
+
+def test_relation_span_reduce_refuses_letters_outside_its_alphabet():
+    span = relation_span(3, 2, "l")
+    with pytest.raises(InputError, match="alphabet 1..2"):
+        span.reduce(Chain(3, {(3, 1, 2): 1}))
+    # a wider chain alphabet is fine when its words stay inside the span's,
+    # and the normal form keeps the chain's alphabet
+    chain = Chain(3, {(2, 1, 2): 1, (1, 2, 2): 1})
+    normal = span.reduce(chain)
+    assert normal.p == 3
+    assert normal.terms == span.reduce(Chain(2, chain.terms)).terms
+    assert span.contains(chain - normal)
+
+
+def _all_index_blocks(degree, p, family, char):
+    """Reference construction: every fold relation at every index 2..n of
+    every word, eliminated from scratch."""
+    fold_word = fold_l_word if family == "l" else fold_prime_word
+    blocks = {}
+    for word in words(p, degree):
+        block = blocks.setdefault(word_multidegree(word, p), RowSpace(char))
+        if degree == 1:
+            if family == "prime":
+                block.insert({word: 1})
+            continue
+        for k in range(2, degree + 1):
+            block.insert(accumulate([(word, -1)], dict(fold_word(k, word))))
+    return blocks
+
+
+@pytest.mark.parametrize("family", ["l", "prime"])
+@pytest.mark.parametrize("char", [None, 3, 5, 7])
+def test_relation_span_matches_all_index_construction(family, char):
+    cases = [(n, p) for n in range(1, 7) for p in (1, 2, 3)]
+    if char == 7:
+        cases.append((7, 2))
+    for degree, p in cases:
+        span = RelationSpan(degree, p, family, char)
+        blocks = _all_index_blocks(degree, p, family, char)
+        assert span.blocks == blocks, (degree, p)
+        assert span.rank == sum(block.rank for block in blocks.values())
+        expected = [Chain(p, row) for md in sorted(blocks) for row in blocks[md].rows()]
+        assert span.basis_chains() == expected, (degree, p)
+
+
+def test_relation_span_memoizes_only_the_requested_span(monkeypatch):
+    monkeypatch.setattr(quotients, "_SPAN_MEMO", {})
+    span = relation_span(8, 3, "prime", 17)
+    assert quotients._SPAN_MEMO == {(8, 3, "prime", 17): span}
+    assert relation_span(8, 3, "prime", 17) is span
 
 
 def test_canonical_prime_degree_one_dies():
