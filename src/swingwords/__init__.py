@@ -13,10 +13,9 @@ from .chains import Chain, Multidegree, Word, concat, reverse
 from .dims import (DimensionReport, h_dim_multidegree, h_dim_total, mobius,
                    rank_oracle, witt_multidegree, witt_total)
 from .moves import MagmaTerm, commutator_expand, eta, fold_l, fold_prime
-from .quotients import (LieCanonical, PrimeCanonical, RelationSpan, TensorElement,
-                        canonical_l, canonical_prime, choose_head,
-                        choose_head_by_letter, ell_map, g_map, g_prime_map,
-                        g_tilde, relation_span)
+from .quotients import (LieCanonical, PrimeCanonical, RelationSpan, canonical_l,
+                        canonical_prime, choose_head, choose_head_by_letter,
+                        ell_map, g_map, g_prime_map, g_tilde, relation_span)
 from .scalars import InputError, ModInt, ResourceLimitError
 from .textio import (parse_chain, parse_magma, parse_swingword, render_chain,
                      render_magma, render_swingword, render_tensor)
@@ -32,9 +31,9 @@ __all__ = [
     "BasisSet", "Chain", "DimensionReport", "InputError", "JacobiTree",
     "LieCanonical", "MagmaTerm", "ModInt", "Multidegree", "PrimeCanonical",
     "RelationSpan", "Report", "ResourceLimitError", "RunPredicate", "SwingWord",
-    "TensorElement", "Vertebrate", "Word", "as_swap", "canonical_l",
-    "canonical_prime", "choose_head", "choose_head_by_letter", "commutator_expand",
-    "concat", "diagram_class", "ell_map", "enum_words", "enumerate_topologies",
+    "Vertebrate", "Word", "as_swap", "canonical_l", "canonical_prime",
+    "choose_head", "choose_head_by_letter", "commutator_expand", "concat",
+    "diagram_class", "ell_map", "enum_words", "enumerate_topologies",
     "eta", "evenrun_experiment", "fold_l", "fold_prime", "g_map", "g_prime_map",
     "g_tilde", "h_basis", "h_dim_multidegree", "h_dim_total", "ihx_expand",
     "is_swing", "lie_basis", "mobius", "parse_chain", "parse_magma",

@@ -77,14 +77,14 @@ class BasisSet:
         }
 
 
-def lie_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
+def lie_basis(m) -> BasisSet:
     """Greedy lexicographic selection of words with independent left-fold
     canonical forms; the count matches the necklace number."""
     md = tuple(m)
     target = witt_multidegree(md)
     space = RowSpace()
     chosen: list[Word] = []
-    for word in enum_words(md, max_block):
+    for word in enum_words(md):
         if space.rank == target:
             break
         if space.insert(eta_word(word)):
@@ -95,7 +95,7 @@ def lie_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
     return BasisSet(md, "lie", chosen, {"rank": len(chosen), "target": target})
 
 
-def h_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
+def h_basis(m) -> BasisSet:
     """Greedy lexicographic selection of words with independent primed
     canonical forms; certified against the re-attachment kernel dimension."""
     md = tuple(m)
@@ -103,7 +103,7 @@ def h_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
     target = h_dim_multidegree(md)
     space = RowSpace()
     chosen: list[Word] = []
-    for word in enum_words(md, max_block):
+    for word in enum_words(md):
         if space.rank == target:
             break
         if space.insert(g_image_key(Chain.of_word(p, word))):
@@ -120,16 +120,16 @@ def h_basis(m, max_block: int = DEFAULT_MAX_BLOCK) -> BasisSet:
 
 def ell_ranks(pairs, p: int) -> tuple[int, int]:
     """Ranks of the span of eta(u) (x) letter over the given (u, letter) pairs
-    in the tensor space, and of its image under the re-attachment map ell."""
+    in the tensor space, and of its image under the re-attachment map ell.
+    One row over the words w.letter per pair is both tensor and chain."""
     ambient = RowSpace()
     image = RowSpace()
     for u, letter in pairs:
-        terms = eta_word(u).items()
-        if not terms:
+        row = {w + (letter,): c for w, c in eta_word(u).items()}
+        if not row:
             continue
-        ambient.insert({(w, letter): c for w, c in terms})
-        lie = canonical_l(Chain(p, {w + (letter,): c for w, c in terms}))
-        image.insert(dict(lie.chain.terms))
+        ambient.insert(row)
+        image.insert(dict(canonical_l(Chain(p, row)).chain.terms))
     return ambient.rank, image.rank
 
 
@@ -286,15 +286,14 @@ EVENRUN_VARIANTS: list[RunPredicate] = [
 ]
 
 
-def evenrun_experiment(m, variants: list[RunPredicate] | None = None,
-                       max_block: int = DEFAULT_MAX_BLOCK) -> dict:
+def evenrun_experiment(m, variants: list[RunPredicate] | None = None) -> dict:
     """Count predicate-passing two-letter words against the necklace number
     and rank-test their canonical forms. Reports matches; asserts nothing."""
     md = tuple(m)
     if len(md) != 2:
         raise InputError("the even-run experiment is about two-letter words")
     target = witt_multidegree(md)
-    words = enum_words(md, max_block)
+    words = enum_words(md)
     results = []
     for predicate in variants or EVENRUN_VARIANTS:
         passing = [w for w in words if predicate.accepts(w)]

@@ -9,6 +9,8 @@ inputs is safe and bit-identical to sequential evaluation.
 `accumulate` is the one place that sums keyed coefficients and prunes zeros;
 every linear map of the package (chain arithmetic, eta, the folds, bead
 expansion, the tensor images, tree expansion) builds its result through it.
+Those maps wrap their pruned terms over valid words with `Chain._make`, which
+skips the letter check that `Chain(p, terms)` applies to outside input.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ class Chain:
         self._frozen = None
 
     @classmethod
+    def _make(cls, p: int, terms: dict[Word, object]) -> "Chain":
+        """A chain over pruned terms whose words are already valid over 1..p."""
+        chain = cls.__new__(cls)
+        chain.p = p
+        chain.terms = terms
+        chain._frozen = None
+        return chain
+
+    @classmethod
     def zero(cls, p: int) -> "Chain":
         return cls(p, {})
 
@@ -121,27 +132,27 @@ class Chain:
 
     def __add__(self, other: "Chain") -> "Chain":
         self._check_compatible(other)
-        return Chain(self.p, accumulate(other.terms.items(), dict(self.terms)))
+        return Chain._make(self.p, accumulate(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
     def __neg__(self) -> "Chain":
-        return Chain(self.p, {w: -c for w, c in self.terms.items()})
+        return Chain._make(self.p, {w: -c for w, c in self.terms.items()})
 
     def scale(self, coeff) -> "Chain":
-        if not coeff:
-            return Chain.zero(self.p)
-        return Chain(self.p, {w: coeff * c for w, c in self.terms.items()})
+        # an integer multiple of q scales residues to zero, so prune each term
+        return Chain._make(self.p, {w: v for w, c in self.terms.items() if (v := coeff * c)})
 
     def __mul__(self, other: "Chain") -> "Chain":
         """Concatenation product, extended bilinearly; the empty word is 1."""
         self._check_compatible(other)
-        return Chain(self.p, accumulate((w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
-                                        for w2, c2 in other.terms.items()))
+        return Chain._make(self.p, accumulate((w1 + w2, c1 * c2)
+                                              for w1, c1 in self.terms.items()
+                                              for w2, c2 in other.terms.items()))
 
     def reverse(self) -> "Chain":
-        return Chain(self.p, {w[::-1]: c for w, c in self.terms.items()})
+        return Chain._make(self.p, {w[::-1]: c for w, c in self.terms.items()})
 
     def coefficient(self, word: Iterable[int]):
         return self.terms.get(tuple(word), 0)

@@ -35,9 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-p", "--alphabet", type=int, default=None, metavar="P",
                         help="alphabet bound (letters 1..P; default 2, or the "
                              "tree file's own bound)")
-        sp.add_argument("--char", type=int, default=None, metavar="Q",
-                        help="odd-prime residue characteristic (default: rationals)")
         if chain:
+            sp.add_argument("--char", type=int, default=None, metavar="Q",
+                            help="odd-prime residue characteristic (default: rationals)")
             sp.add_argument("--chain", required=True, help="chain text, e.g. '3*[1,2,1] - 1/2*[2,1,1]'")
 
     sp = sub.add_parser("eta", help="apply the antisymmetrization map")

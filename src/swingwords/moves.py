@@ -44,8 +44,8 @@ def eta_word(word: Word) -> dict[Word, int]:
 
 
 def _linear_extension(chain: Chain, word_map) -> Chain:
-    return Chain(chain.p, accumulate((w, coeff * c) for word, coeff in chain.terms.items()
-                                     for w, c in word_map(word).items()))
+    return Chain._make(chain.p, accumulate((w, coeff * c) for word, coeff in chain.terms.items()
+                                           for w, c in word_map(word).items()))
 
 
 def eta(chain: Chain) -> Chain:

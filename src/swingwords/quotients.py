@@ -4,9 +4,11 @@ The left-fold quotient of degree-n chains is decided by the idempotent
 projector P_n = (-1)^(n-1) * eta / n: two chains are equivalent exactly when
 their projections coincide. The primed quotient is decided by the tensor image
 g(w) = g'(w) - g'(fold_l(n, w)) with g'(b1..bn) = canonical_l(b1..b_{n-1})
-tensor bn; the letter is re-attached on the right by ell and by g_tilde.
-Fold relations extend on the right (a relation times a suffix is again a
-relation), which is what makes the prefix factor the canonicalizable one.
+tensor bn. A term u tensor b is stored as the word u.b (the free Lie algebra
+embeds in the tensor algebra), so a tensor image is a Chain of degree-n words
+and the re-attachment maps ell and g_tilde are canonical_l and canonical_prime
+on it. Fold relations extend on the right (a relation times a suffix is again
+a relation), which is what makes the prefix factor the canonicalizable one.
 
 The relation spans materialize both move families as row-reduced blocks per
 multidegree and serve as the independent equality oracle. They are built by
@@ -34,7 +36,7 @@ Family = Literal["l", "prime"]
 DEFAULT_MAX_WORDS = 2_000_000
 
 _SPAN_MEMO: dict[tuple, "RelationSpan"] = {}
-_PRIME_IMAGE_MEMO: dict[Word, dict[tuple[Word, int], int]] = {}
+_PRIME_IMAGE_MEMO: dict[Word, dict[Word, int]] = {}
 _PRIME_IMAGE_MEMO_MAX_DEGREE = 7
 
 
@@ -62,85 +64,13 @@ class LieCanonical:
         return hash((self.degree, self.chain))
 
 
-class TensorElement:
-    """An element of (degree n-1 Lie part) tensor (letters), stored flat.
-
-    Terms are kept as a map (word, letter) -> coefficient over the words of the
-    left factors; this embeds the tensor space into word-coordinates so that
-    linear combinations merge exactly.
-    """
-
-    __slots__ = ("p", "degree", "terms")
-
-    def __init__(self, p: int, degree: int, terms: dict[tuple[Word, int], object] | None = None):
-        self.p = p
-        self.degree = degree
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def zero(cls, p: int, degree: int) -> "TensorElement":
-        return cls(p, degree, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def iter_terms(self):
-        return iter(sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])))
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if not self.terms:
-            return TensorElement(other.p, other.degree, other.terms)
-        if not other.terms:
-            return TensorElement(self.p, self.degree, self.terms)
-        if self.p != other.p or self.degree != other.degree:
-            raise InputError("mismatched tensor elements")
-        return TensorElement(self.p, self.degree,
-                             accumulate(other.terms.items(), dict(self.terms)))
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "TensorElement":
-        if not coeff:
-            return TensorElement.zero(self.p, self.degree)
-        return TensorElement(self.p, self.degree, {k: coeff * v for k, v in self.terms.items()})
-
-    def appended_chain(self) -> Chain:
-        """The chain obtained by re-attaching each letter after its left factor."""
-        return Chain(self.p, accumulate((word + (letter,), coeff)
-                                        for (word, letter), coeff in self.terms.items()))
-
-    def grouped(self) -> list[tuple[int, Chain]]:
-        """Per-letter left-factor chains, for display and interop."""
-        per_letter: dict[int, dict[Word, object]] = {}
-        for (word, letter), coeff in self.terms.items():
-            per_letter.setdefault(letter, {})[word] = coeff
-        return [(b, Chain(self.p, terms)) for b, terms in sorted(per_letter.items())]
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if not self.terms and not other.terms:
-            return True
-        return self.p == other.p and self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        if not self.terms:
-            return hash(())
-        return hash((self.p, self.degree, tuple(self.iter_terms())))
-
-    def __repr__(self):
-        from .textio import render_tensor
-
-        return f"TensorElement({self.p}, {self.degree}, {render_tensor(self)!r})"
-
-
 @dataclass(frozen=True)
 class PrimeCanonical:
-    """Canonical key of a chain in the primed-fold quotient: its g-image."""
+    """Canonical key of a chain in the primed-fold quotient: its g-image, a
+    chain of degree-n words."""
 
     degree: int
-    image: TensorElement
+    image: Chain
 
     def is_zero(self) -> bool:
         return self.image.is_zero()
@@ -173,6 +103,9 @@ class RelationSpan:
     fixed multiple of the reduced echelon form of the span, so it does not
     depend on this order. Over all degrees sum_{d<=n} p^d <= 2 p^n rows are
     inserted for p >= 2, so the `max_words` bound on p^n bounds the work done.
+    When the degree-(n-1) left span over the same alphabet and field is
+    already memoized, the build starts from its blocks; `_appended` copies
+    every row, so the memoized span is left as it was.
     """
 
     def __init__(self, degree: int, p: int, family: Family, char: int | None = None,
@@ -190,8 +123,9 @@ class RelationSpan:
         self.p = p
         self.family = family
         self.char = char
-        blocks: dict[Multidegree, RowSpace] = {}
-        for d in range(1, degree + 1):
+        left = _SPAN_MEMO.get((degree - 1, p, "l", char))
+        blocks: dict[Multidegree, RowSpace] = left.blocks if left else {}
+        for d in range(degree if left else 1, degree + 1):
             # the left span one degree up, then the top-index relations of
             # this degree: the family's own at the last step, else left folds
             blocks = _appended(blocks, p, char)
@@ -288,6 +222,7 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     In characteristic zero (and whenever the characteristic does not divide the
     degree) this applies the idempotent projector; otherwise it falls back to
     normal-form reduction against the relation span and flags the result.
+    Applied to a tensor image it is the re-attachment ell.
     """
     if not chain.is_homogeneous():
         raise InputError("canonical form requires a homogeneous chain")
@@ -301,14 +236,15 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     return LieCanonical(degree, eta(chain).scale(scale))
 
 
-def _split(word: Word, coeff) -> Iterable[tuple[tuple[Word, int], object]]:
-    """coeff * (eta(prefix) tensor last letter): the unscaled split of a word."""
-    last = word[-1]
-    return (((u, last), coeff * c) for u, c in eta_word(word[:-1]).items())
+def _split(word: Word, coeff) -> Iterable[tuple[Word, object]]:
+    """coeff * eta(prefix) (x) last letter, the unscaled split of a word, with
+    each u (x) b stored as the word u.b."""
+    last = word[-1:]
+    return ((u + last, coeff * c) for u, c in eta_word(word[:-1]).items())
 
 
-def _g_image_scaled(word: Word) -> dict[tuple[Word, int], int]:
-    """g(word) scaled by (degree - 1): an integer tensor-coordinate vector."""
+def _g_image_scaled(word: Word) -> dict[Word, int]:
+    """g(word) scaled by (degree - 1): an integer vector over degree-n words."""
     cached = _PRIME_IMAGE_MEMO.get(word)
     if cached is not None:
         return cached
@@ -322,11 +258,11 @@ def _g_image_scaled(word: Word) -> dict[tuple[Word, int], int]:
     return out
 
 
-def g_image_key(chain: Chain) -> dict[tuple[Word, int], object]:
-    """The integer-scaled primed class key: (degree - 1) * g(chain) in tensor
-    coordinates. Chains of one degree are equal in the primed quotient exactly
-    when their keys are equal."""
-    out: dict[tuple[Word, int], object] = {}
+def g_image_key(chain: Chain) -> dict[Word, object]:
+    """The integer-scaled primed class key: (degree - 1) * g(chain) as a term
+    dict over words. Chains of one degree are equal in the primed quotient
+    exactly when their keys are equal."""
+    out: dict[Word, object] = {}
     for word, coeff in chain.terms.items():
         accumulate(((key, coeff * c) for key, c in _g_image_scaled(word).items()), out)
     return out
@@ -344,45 +280,37 @@ def _split_scale(chain: Chain) -> tuple[int, object]:
     return degree, next(iter(chain.terms.values())) * 0 + Fraction(1, degree - 1)
 
 
-def g_prime_map(chain: Chain) -> TensorElement:
+def g_prime_map(chain: Chain) -> Chain:
     """Split each word into (canonical prefix) tensor (last letter)."""
     degree, scale = _split_scale(chain)
     sign = 1 if degree % 2 == 0 else -1
-    out: dict[tuple[Word, int], object] = {}
+    out: dict[Word, object] = {}
     for word, coeff in chain.terms.items():
         accumulate(_split(word, sign * coeff), out)
-    return TensorElement(chain.p, degree, {k: v * scale for k, v in out.items()})
+    return Chain._make(chain.p, {k: v * scale for k, v in out.items()})
 
 
-def g_map(chain: Chain) -> TensorElement:
+def g_map(chain: Chain) -> Chain:
     """g = g' - g' after the top left-fold; kills every primed relation."""
-    degree, scale = _split_scale(chain)
-    return TensorElement(chain.p, degree,
-                         {k: v * scale for k, v in g_image_key(chain).items()})
+    _, scale = _split_scale(chain)
+    return Chain._make(chain.p, {k: v * scale for k, v in g_image_key(chain).items()})
 
 
 def canonical_prime(chain: Chain) -> PrimeCanonical:
     """Canonical key in the primed quotient: zero below degree 2, else the
-    g-image with canonicalized left factors."""
+    g-image with canonicalized left factors. Applied to a tensor image it is
+    the re-attachment g_tilde into the primed quotient."""
     if not chain.is_homogeneous():
         raise InputError("canonical form requires a homogeneous chain")
     degree = chain.degree()
     if degree is None or degree <= 1:
-        return PrimeCanonical(degree or 0, TensorElement.zero(chain.p, degree or 0))
+        return PrimeCanonical(degree or 0, Chain.zero(chain.p))
     return PrimeCanonical(degree, g_map(chain))
 
 
-def ell_map(t: TensorElement, char: int | None = None) -> LieCanonical:
-    """Re-attach each letter after its left factor and canonicalize."""
-    return canonical_l(t.appended_chain(), char)
-
-
-def g_tilde(t: TensorElement) -> PrimeCanonical:
-    """Re-attach each letter after its left factor, into the primed quotient."""
-    chain = t.appended_chain()
-    if chain.is_zero():
-        return PrimeCanonical(t.degree, TensorElement.zero(t.p, t.degree))
-    return canonical_prime(chain)
+# the re-attachment maps of the exact sequence, on an image's chain of words
+ell_map = canonical_l
+g_tilde = canonical_prime
 
 
 def choose_head(word: Iterable[int], position: int, p: int | None = None) -> Chain:

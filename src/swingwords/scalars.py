@@ -127,11 +127,14 @@ def make_coefficient(numerator: int, denominator: int = 1, char: int | None = No
     """Build a coefficient in the requested mode, reduced to normal form."""
     if denominator == 0:
         raise InputError("zero denominator in coefficient")
+    f = Fraction(numerator, denominator)
     if char is None:
-        f = Fraction(numerator, denominator)
         return int(f) if f.denominator == 1 else f
     check_characteristic(char)
-    return ModInt(numerator, char) / ModInt(denominator, char)
+    if f.denominator % char == 0:
+        raise InputError(f"coefficient {f} has denominator {f.denominator}, a multiple of "
+                         f"the residue characteristic {char}, so it has no residue mod {char}")
+    return ModInt(f.numerator, char) / ModInt(f.denominator, char)
 
 
 def invert_integer(n: int, char: int | None = None):

@@ -1,5 +1,6 @@
 """Text forms: the chain grammar, magma s-expressions, swing-word brackets,
-and the tensor rendering.
+and the tensor rendering of a tensor image (a chain of words u.b read as
+u (x) b; see `quotients`).
 
 Chain grammar:
     chain ::= term (("+"|"-") term)*
@@ -151,10 +152,13 @@ def render_chain(chain: Chain) -> str:
                        for word, coeff in chain.iter_terms())
 
 
-def render_tensor(tensor) -> str:
-    """Flattened tensor text: coeff*([word] (x) letter) terms, '0' when zero."""
-    return _signed_sum((coeff, "*([" + ",".join(map(str, word)) + f"] (x) {letter})")
-                       for (word, letter), coeff in tensor.iter_terms())
+def render_tensor(chain: Chain) -> str:
+    """Tensor text of a tensor image: each word u.b of the chain is the term
+    u (x) b, printed as coeff*([u] (x) b) and ordered by (b, u); '0' when zero.
+    This is the one place that splits the last letter off again."""
+    terms = sorted(chain.terms.items(), key=lambda kv: (kv[0][-1], kv[0][:-1]))
+    return _signed_sum((coeff, "*([" + ",".join(map(str, word[:-1])) + f"] (x) {word[-1]})")
+                       for word, coeff in terms)
 
 
 def parse_magma(text: str) -> MagmaTerm:

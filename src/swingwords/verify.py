@@ -20,7 +20,7 @@ from .dims import h_dim_total, rank_oracle, witt_total
 from .linalg import RowSpace, kernel_basis
 from .moves import eta, eta_word, fold_l
 from .quotients import (canonical_l, canonical_prime, choose_head_by_letter, g_image_key,
-                        g_map, g_tilde, ell_map, relation_span)
+                        g_map, relation_span)
 from .scalars import InputError
 from .trees import (SwingWord, Vertebrate, as_swap, diagram_class, enumerate_topologies,
                     ihx_expand, read_swingword, relabel_legs, rho, rho_alt,
@@ -286,9 +286,11 @@ def suite_exactness(max_degree: int = 6, p_max: int = 3,
             image = RowSpace()
             for w in _words(p, n):
                 c = Chain.of_word(p, w)
+                # g(w) is a chain of words: ell and g_tilde are the canonical maps
                 t = g_map(c)
-                ell_dies.append(ell_map(t).is_zero())
-                section_scales.append(g_tilde(t).image == canonical_prime(c).image.scale(n))
+                ell_dies.append(canonical_l(t).is_zero())
+                section_scales.append(
+                    canonical_prime(t).image == canonical_prime(c).image.scale(n))
                 image.insert(dict(t.terms))
             report.tally(f"ell(g(w)) = 0 [n={n}, p={p}]", "words", ell_dies)
             report.tally(f"g_tilde(g(w)) = n * class(w) [n={n}, p={p}]", "words",

@@ -160,6 +160,26 @@ def test_char_dividing_scale_refused_whatever_the_image(capsys, chain):
     assert "characteristic" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rho", "--swingword", "<1 | (1 2) | 2>", "-p", "2", "--char", "5"),
+    ("class", "--tree", "tests/golden/cli/inputs/readme_tree.json", "--char", "3"),
+])
+def test_char_is_refused_where_no_chain_is_parsed(capsys, argv):
+    # only eta, fold and reduce read coefficients in a residue field
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --char" in capsys.readouterr().err
+
+
+def test_coefficient_denominator_divisible_by_char_exits_two(capsys):
+    code, out, err = run(capsys, "reduce", "--space", "l", "--char", "3", "-p", "2",
+                         "--chain", "1/3*[1,2]")
+    assert (code, out) == (2, "")
+    assert "denominator 3" in err and "characteristic 3" in err
+    assert "scale this computation inverts" not in err
+
+
 def test_char_two_rejected(capsys):
     code, _, err = run(capsys, "eta", "--chain", "[1]", "-p", "2", "--char", "2")
     assert code == 2

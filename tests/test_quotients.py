@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction
 from itertools import product
 
@@ -7,10 +8,11 @@ from hypothesis import given, strategies as st
 from swingwords import quotients
 from swingwords.chains import Chain, accumulate, word_multidegree
 from swingwords.linalg import RowSpace
-from swingwords.moves import eta, fold_l, fold_l_word, fold_prime_word
-from swingwords.quotients import (RelationSpan, TensorElement, canonical_l,
+from swingwords.moves import eta, eta_word, fold_l, fold_l_word, fold_prime_word
+from swingwords.quotients import (PrimeCanonical, RelationSpan, canonical_l,
                                   canonical_prime, choose_head, choose_head_by_letter,
                                   ell_map, g_map, g_prime_map, g_tilde, relation_span)
+from swingwords.textio import _signed_sum, render_tensor
 from swingwords.scalars import InputError, ResourceLimitError
 
 
@@ -147,6 +149,20 @@ def test_relation_span_memoizes_only_the_requested_span(monkeypatch):
     assert relation_span(8, 3, "prime", 17) is span
 
 
+def test_relation_span_starts_from_a_memoized_left_span(monkeypatch):
+    monkeypatch.setattr(quotients, "_SPAN_MEMO", {})
+    fresh = RelationSpan(8, 3, "prime", 17)
+    left = relation_span(7, 3, "l", 17)
+    before = deepcopy(left.blocks)
+    calls = []
+    monkeypatch.setattr(quotients, "fold_l_word", lambda n, w: calls.append(w))
+    built = RelationSpan(8, 3, "prime", 17)
+    # only the top-index primed relations were inserted: no left fold ran
+    assert calls == []
+    assert built.blocks == fresh.blocks
+    assert left.blocks == before
+
+
 def test_canonical_prime_degree_one_dies():
     assert canonical_prime(Chain.of_word(2, (1,))).is_zero()
 
@@ -176,11 +192,13 @@ def test_canonical_prime_matches_span_oracle():
 
 
 def test_g_prime_map_splits_prefix_and_last_letter():
-    # mirrored reading: canonical prefix tensor the final letter
+    # mirrored reading: canonical prefix tensor the final letter, stored as
+    # the prefix's words with the letter re-attached
     t = g_prime_map(Chain.of_word(3, (1, 2, 3)))
-    expected = {(w, 3): c * Fraction(-1, 2)
+    expected = {w + (3,): c * Fraction(-1, 2)
                 for w, c in eta(Chain.of_word(3, (1, 2))).terms.items()}
     assert t.terms == expected
+    assert render_tensor(t) == "1/2*([1,2] (x) 3) - 1/2*([2,1] (x) 3)"
 
 
 def test_g_prime_map_linear():
@@ -198,21 +216,24 @@ def test_ell_of_g_vanishes():
     for p in (2, 3):
         for n in (2, 3, 4):
             for w in words(p, n):
-                assert ell_map(g_map(Chain.of_word(p, w))).is_zero()
+                assert canonical_l(g_map(Chain.of_word(p, w))).is_zero()
 
 
 def test_ell_reattaches_letter():
-    t = TensorElement(2, 2, {((2,), 1): 1})
-    assert ell_map(t) == canonical_l(Chain.of_word(2, (2, 1)))
-    assert ell_map(TensorElement.zero(2, 3)).is_zero()
+    # the tensor [2] (x) 1 is the chain [2,1], so ell is canonical_l on it
+    t = Chain.of_word(2, (2, 1))
+    assert render_tensor(t) == "1*([2] (x) 1)"
+    assert canonical_l(t) == canonical_l(Chain(2, {(2, 1): 1}))
+    assert canonical_l(Chain.zero(2)).is_zero()
+    assert ell_map is canonical_l and g_tilde is canonical_prime
 
 
 def test_g_tilde_scales_by_degree():
     for w in ((1, 2), (1, 2, 3), (1, 2, 2, 1)):
         p = max(w)
         c = Chain.of_word(p, w)
-        assert g_tilde(g_map(c)).image == canonical_prime(c).image.scale(len(w))
-    assert g_tilde(TensorElement.zero(2, 4)).is_zero()
+        assert canonical_prime(g_map(c)).image == canonical_prime(c).image.scale(len(w))
+    assert canonical_prime(Chain.zero(2)).is_zero()
 
 
 def test_g_of_prime_relation_vanishes():
@@ -281,10 +302,77 @@ def test_canonical_maps_are_linear(w, scalar):
     assert canonical_prime(c.scale(scalar)).image == canonical_prime(c).image.scale(scalar)
 
 
-def test_tensor_element_grouping_and_zero():
-    t = TensorElement(2, 3, {((1, 2), 1): 1, ((2, 1), 1): -1, ((1, 2), 2): 2})
-    grouped = dict(t.grouped())
-    assert grouped[1] == Chain(2, {(1, 2): 1, (2, 1): -1})
-    assert grouped[2] == Chain(2, {(1, 2): 2})
-    assert (t - t).is_zero()
-    assert TensorElement.zero(2, 3) == TensorElement.zero(3, 5)
+def test_prime_canonical_zero_classes_agree_across_degree_and_alphabet():
+    relation = Chain.of_word(2, (1, 2)) - Chain.of_word(2, (2, 1))
+    zeros = [canonical_prime(relation), canonical_prime(Chain.of_word(3, (1,))),
+             PrimeCanonical(5, Chain.zero(3)), canonical_prime(Chain.zero(2))]
+    assert all(z.is_zero() for z in zeros)
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+    t = g_map(Chain.of_word(3, (1, 2, 3)))
+    assert not t.is_zero() and (t - t).is_zero()
+    nonzero = canonical_prime(Chain.of_word(2, (2, 2)))
+    assert nonzero != zeros[0]
+    assert nonzero != PrimeCanonical(3, nonzero.image)
+
+
+# Reference: the tensor images keyed by (prefix word, letter) pairs and their
+# rendering, as computed before the images became chains of words.
+
+def _ref_split(word, coeff):
+    return (((u, word[-1]), coeff * c) for u, c in eta_word(word[:-1]).items())
+
+
+def _ref_scale(chain):
+    n = chain.degree()
+    return n, next(iter(chain.terms.values())) * 0 + Fraction(1, n - 1)
+
+
+def _ref_g_prime(chain):
+    n, scale = _ref_scale(chain)
+    sign = 1 if n % 2 == 0 else -1
+    out = {}
+    for word, coeff in chain.terms.items():
+        accumulate(_ref_split(word, sign * coeff), out)
+    return {k: v * scale for k, v in out.items()}
+
+
+def _ref_g(chain):
+    n, scale = _ref_scale(chain)
+    sign = 1 if n % 2 == 0 else -1
+    out = {}
+    for word, coeff in chain.terms.items():
+        accumulate(_ref_split(word, sign * coeff), out)
+        for w, c in fold_l_word(n, word).items():
+            accumulate(_ref_split(w, -sign * coeff * c), out)
+    return {k: v * scale for k, v in out.items()}
+
+
+def _ref_render(pairs):
+    terms = sorted(pairs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    return _signed_sum((coeff, "*([" + ",".join(map(str, word)) + f"] (x) {letter})")
+                       for (word, letter), coeff in terms)
+
+
+def _assert_images_match_reference(chain):
+    g = _ref_render(_ref_g(chain))
+    assert render_tensor(canonical_prime(chain).image) == g
+    assert render_tensor(g_map(chain)) == g
+    assert render_tensor(g_prime_map(chain)) == _ref_render(_ref_g_prime(chain))
+
+
+def test_tensor_images_match_pair_keyed_reference_on_every_word():
+    for p in (1, 2, 3):
+        for n in range(2, 7):
+            for w in words(p, n):
+                _assert_images_match_reference(Chain.of_word(p, w))
+
+
+fraction_chains = st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.dictionaries(
+        st.tuples(*[st.integers(min_value=1, max_value=3)] * n),
+        st.fractions(max_denominator=6).filter(bool), min_size=1, max_size=5))
+
+
+@given(fraction_chains)
+def test_tensor_images_match_pair_keyed_reference_on_fraction_chains(terms):
+    _assert_images_match_reference(Chain(3, terms))

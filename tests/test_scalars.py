@@ -47,6 +47,10 @@ def test_make_coefficient():
     assert isinstance(make_coefficient(4, 2), int)
     assert make_coefficient(1, 2) == Fraction(1, 2)
     assert make_coefficient(1, 2, char=5) == ModInt(3, 5)
+    # a denominator is read in lowest terms before it is inverted mod q
+    assert make_coefficient(3, 3, char=3) == ModInt(1, 3)
+    with pytest.raises(InputError, match="denominator 3, .* characteristic 3"):
+        make_coefficient(2, 6, char=3)
     with pytest.raises(InputError):
         make_coefficient(1, 0)
 
