@@ -248,6 +248,10 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--opt=--" as an empty list, not as the string "--"
+    if [] in vars(args).values():
+        print("error: '--' is not a value for any option", file=sys.stderr)
+        return 2
     try:
         return _run(args)
     except (InputError, ResourceLimitError) as exc:

@@ -211,13 +211,13 @@ def parse_swingword(text: str):
     parts = inner.split("|")
     if len(parts) == 1:
         value = parts[0].strip()
-        if not value.isdigit():
+        if not value.isdecimal():
             raise InputError(f"degenerate swing word needs a single letter: {text!r}")
         return SwingWord(tail=int(value), beads=(), head=None, sign=sign)
     if len(parts) != 3:
         raise InputError(f"swing word needs 'tail | beads | head': {text!r}")
     tail_text, beads_text, head_text = (part.strip() for part in parts)
-    if not tail_text.isdigit() or not head_text.isdigit():
+    if not tail_text.isdecimal() or not head_text.isdecimal():
         raise InputError(f"swing word tail and head must be letters: {text!r}")
     beads = []
     pos = 0

@@ -12,6 +12,11 @@ expansion then agree in the primed quotient, which the suite verifies.
 Trees are compared through their stored vertex ordering; no graph-isomorphism
 canonicalization is attempted, and equality of diagram classes is always
 decided through the primed canonical form.
+
+Every walk runs over the neighbour map of `JacobiTree.incidence()`, which
+sends each vertex to {edge index: other end}. A swing word is read by
+rooting that map at the head, so each vertex knows its edge toward the head,
+and then walking once from the tail along those edges.
 """
 
 from __future__ import annotations
@@ -38,24 +43,17 @@ class JacobiTree:
         self.legs = dict(legs)
         self.p = p
 
-    def incidence(self) -> dict[int, list[int]]:
-        inc: dict[int, list[int]] = {v: [] for v in self.vertices}
+    def incidence(self) -> dict[int, dict[int, int]]:
+        """Each vertex's neighbour map {edge index: other end}, in edge order."""
+        inc: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
         for index, (u, v) in enumerate(self.edges):
-            inc[u].append(index)
-            inc[v].append(index)
+            inc[u][index] = v
+            inc[v][index] = u
         return inc
 
     def leg_vertices(self) -> list[int]:
         """Legs in the stored vertex order."""
         return [v for v in self.vertices if v in self.legs]
-
-    def edge_other_end(self, edge_index: int, vertex: int) -> int:
-        u, v = self.edges[edge_index]
-        if vertex == u:
-            return v
-        if vertex == v:
-            return u
-        raise InputError(f"edge {edge_index} is not incident to vertex {vertex}")
 
     def _key(self):
         return (self.vertices, self.edges, tuple(sorted(self.cyclic.items())),
@@ -80,6 +78,11 @@ def validate(tree: JacobiTree) -> None:
         raise InputError("empty: tree has no vertices")
     if len(set(tree.vertices)) != len(tree.vertices):
         raise InputError("vertices: duplicate vertex ids")
+    known = set(tree.vertices)
+    for what, keyed in (("legs", tree.legs), ("cyclic", tree.cyclic)):
+        stray = sorted(set(keyed) - known)
+        if stray:
+            raise InputError(f"{what}: key {stray[0]} names no vertex of the tree")
     if len(tree.vertices) == 1:
         v = tree.vertices[0]
         if tree.edges:
@@ -88,14 +91,13 @@ def validate(tree: JacobiTree) -> None:
             raise InputError("label: degenerate vertex must be labeled")
         _check_letter(tree.legs[v], tree.p)
         return
-    known = set(tree.vertices)
     for u, v in tree.edges:
         if u not in known or v not in known:
             raise InputError(f"edges: edge ({u},{v}) references unknown vertex")
         if u == v:
             raise InputError("acyclic: self-loop")
     inc = tree.incidence()
-    if len(_parent_edges(tree, inc, tree.vertices[0])) != len(tree.vertices):
+    if len(_parent_edges(inc, tree.vertices[0])) != len(tree.vertices):
         raise InputError("connected: graph is not connected")
     if len(tree.edges) != len(tree.vertices) - 1:
         raise InputError("acyclic: graph contains a cycle")
@@ -117,16 +119,14 @@ def validate(tree: JacobiTree) -> None:
                 raise InputError(f"cyclic: vertex {v} needs a cyclic order of its 3 edges")
 
 
-def _parent_edges(tree: JacobiTree, inc: dict[int, list[int]],
-                  root: int) -> dict[int, int | None]:
-    """Walk the graph from root; map each vertex reached to the edge it was
-    reached by (None for the root)."""
+def _parent_edges(inc: dict[int, dict[int, int]], root: int) -> dict[int, int | None]:
+    """Walk the neighbour map from root; map each vertex reached to the edge
+    it was reached by, the edge toward root (None for the root)."""
     parent_edge = {root: None}
     frontier = [root]
     while frontier:
         x = frontier.pop()
-        for e in inc[x]:
-            y = tree.edge_other_end(e, x)
+        for e, y in inc[x].items():
             if y not in parent_edge:
                 parent_edge[y] = e
                 frontier.append(y)
@@ -224,18 +224,21 @@ def to_vertebrate(tree: JacobiTree) -> Vertebrate:
     return Vertebrate(tree, legs[0], legs[1])
 
 
-def _bead_term(tree: JacobiTree, vertex: int, entry_edge: int) -> MagmaTerm:
-    child = tree.edge_other_end(entry_edge, vertex)
+def _bead_term(tree: JacobiTree, inc: dict[int, dict[int, int]], vertex: int,
+               entry_edge: int) -> MagmaTerm:
+    child = inc[vertex][entry_edge]
     if child in tree.legs:
         return tree.legs[child]
     first, second = _cyclic_after(tree, child, entry_edge)
-    return (_bead_term(tree, child, first), _bead_term(tree, child, second))
+    return (_bead_term(tree, inc, child, first), _bead_term(tree, inc, child, second))
 
 
 def read_swingword(v: Vertebrate) -> SwingWord:
-    """Walk the column from tail to head, collecting pendant rooted subtrees
-    as beads and comparing each column vertex's orientation with the positive
-    reading (in, bead, out)."""
+    """Walk the column once from tail to head, collecting pendant rooted
+    subtrees as beads. Of the two edges after the in-edge in a column
+    vertex's cyclic order, the one not toward the head is the bead edge; the
+    positive reading is (in, bead, out), so the sign flips when the edge
+    toward the head comes first."""
     tree = v.tree
     if v.head == v.tail:
         if len(tree.vertices) == 1:
@@ -244,23 +247,19 @@ def read_swingword(v: Vertebrate) -> SwingWord:
     if v.head not in tree.legs or v.tail not in tree.legs:
         raise InputError("head and tail must be legs")
     inc = tree.incidence()
-    parent_edge = _parent_edges(tree, inc, v.tail)
-    column_edges = []
-    x = v.head
-    while x != v.tail:
-        e = parent_edge[x]
-        column_edges.append(e)
-        x = tree.edge_other_end(e, x)
-    column_edges.reverse()
+    toward_head = _parent_edges(inc, v.head)
     beads = []
     sign = 1
-    current = v.tail
-    for in_edge, out_edge in zip(column_edges, column_edges[1:]):
-        current = tree.edge_other_end(in_edge, current)
-        bead_edge = next(e for e in inc[current] if e not in (in_edge, out_edge))
-        if _cyclic_after(tree, current, in_edge) != (bead_edge, out_edge):
+    in_edge = toward_head[v.tail]
+    current = inc[v.tail][in_edge]
+    while current != v.head:
+        out_edge = toward_head[current]
+        bead_edge, other = _cyclic_after(tree, current, in_edge)
+        if bead_edge == out_edge:
             sign = -sign
-        beads.append(_bead_term(tree, current, bead_edge))
+            bead_edge = other
+        beads.append(_bead_term(tree, inc, current, bead_edge))
+        in_edge, current = out_edge, inc[current][out_edge]
     return SwingWord(tail=tree.legs[v.tail], beads=tuple(beads),
                      head=tree.legs[v.head], sign=sign)
 
@@ -370,8 +369,13 @@ def tree_to_json(tree: JacobiTree) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is a subclass of int, but true is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, what: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise InputError(f"tree JSON: {what} must be a list of integers")
     return value
 
@@ -396,17 +400,17 @@ def tree_from_json(text: str, p: int | None = None) -> JacobiTree:
         if key not in payload:
             raise InputError(f"tree JSON is missing {key!r}")
     legs = _int_keyed(payload["legs"], "legs")
-    if not all(isinstance(letter, int) for letter in legs.values()):
+    if not all(_is_int(letter) for letter in legs.values()):
         raise InputError("tree JSON: leg letters must be integers")
     edges = payload["edges"]
     if not isinstance(edges, list) or any(len(_int_list(e, "each edge")) != 2 for e in edges):
         raise InputError("tree JSON: 'edges' must be a list of vertex pairs")
     cyclic = {v: tuple(_int_list(order, "each cyclic order"))
               for v, order in _int_keyed(payload.get("cyclic", {}), "cyclic").items()}
+    if "p" in payload and not (_is_int(payload["p"]) and payload["p"] >= 1):
+        raise InputError("tree JSON: 'p' must be a positive integer")
     if p is None:
-        p = payload.get("p") or max(legs.values(), default=1)
-    if not isinstance(p, int):
-        raise InputError("tree JSON: 'p' must be an integer")
+        p = payload.get("p", max(legs.values(), default=1))
     tree = JacobiTree(_int_list(payload["vertices"], "'vertices'"),
                       [tuple(e) for e in edges], cyclic, legs, p)
     validate(tree)
@@ -422,27 +426,16 @@ def enumerate_topologies(num_legs: int) -> list[JacobiTree]:
         raise InputError("a tree shape needs at least 2 legs")
     shapes = [[(1, 2)]]
     for leaf in range(3, num_legs + 1):
-        grown = []
-        internal = -(leaf - 2)
-        for edges in shapes:
-            for i, (u, v) in enumerate(edges):
-                new_edges = edges[:i] + edges[i + 1:]
-                new_edges = new_edges + [(u, internal), (internal, v), (internal, leaf)]
-                grown.append(new_edges)
-        shapes = grown
+        internal = num_legs + leaf - 2
+        shapes = [edges[:i] + edges[i + 1:] + [(u, internal), (internal, v), (internal, leaf)]
+                  for edges in shapes for i, (u, v) in enumerate(edges)]
+    vertices = range(1, 2 * num_legs - 1)
+    legs = {v: 1 for v in range(1, num_legs + 1)}
     trees = []
     for edges in shapes:
-        internals = sorted({x for e in edges for x in e if x < 0}, reverse=True)
-        rename = {x: num_legs + i + 1 for i, x in enumerate(internals)}
-        mapped = [(rename.get(u, u), rename.get(v, v)) for u, v in edges]
-        vertices = list(range(1, num_legs + 1)) + [rename[x] for x in internals]
-        inc: dict[int, list[int]] = {v: [] for v in vertices}
-        for index, (u, v) in enumerate(mapped):
-            inc[u].append(index)
-            inc[v].append(index)
-        cyclic = {v: tuple(edges_at) for v, edges_at in inc.items() if len(edges_at) == 3}
-        legs = {v: 1 for v in range(1, num_legs + 1)}
-        trees.append(JacobiTree(vertices, mapped, cyclic, legs, 1))
+        inc = JacobiTree(vertices, edges, {}, legs, 1).incidence()
+        cyclic = {v: tuple(at) for v, at in inc.items() if len(at) == 3}
+        trees.append(JacobiTree(vertices, edges, cyclic, legs, 1))
     return trees
 
 

@@ -232,6 +232,51 @@ def test_malformed_tree_json_exits_two(tmp_path, capsys, payload):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("p", 0, "'p' must be a positive integer"),
+    ("p", True, "'p' must be a positive integer"),
+    ("vertices", [True, 2, 3, 4], "'vertices' must be a list of integers"),
+    ("edges", [[True, 4], [2, 4], [3, 4]], "each edge must be a list of integers"),
+    ("cyclic", {"4": [0, True, 2]}, "each cyclic order must be a list of integers"),
+    ("legs", {"1": True, "2": 2, "3": 2}, "leg letters must be integers"),
+])
+def test_tree_json_refuses_zero_p_and_booleans(tmp_path, capsys, field, value, named):
+    # bool is a subclass of int, so true would otherwise be read as 1
+    tree = {"vertices": [1, 2, 3, 4], "edges": [[1, 4], [2, 4], [3, 4]],
+            "cyclic": {"4": [0, 1, 2]}, "legs": {"1": 1, "2": 2, "3": 2}, "p": 2}
+    tree[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tree))
+    code, out, err = run(capsys, "class", "--tree", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: tree JSON: {named}\n"
+
+
+@pytest.mark.parametrize("key, extra", [("legs", {"9": 1}), ("cyclic", {"7": [0, 1, 2]})])
+def test_tree_json_keys_naming_no_vertex_exit_two(tmp_path, capsys, key, extra):
+    tree = {"vertices": [1, 2], "edges": [[1, 2]], "cyclic": {}, "legs": {"1": 1, "2": 2},
+            "p": 2}
+    tree[key].update(extra)
+    path = tmp_path / "strut.json"
+    path.write_text(json.dumps(tree))
+    code, out, err = run(capsys, "class", "--tree", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {key}: key {next(iter(extra))} names no vertex of the tree\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--chain=--", "-p", "2"],
+    ["rho", "--swingword=--"],
+    ["class", "--tree=--"],
+    ["fold", "--kind", "l", "--n=--", "--chain", "[1,2]"],
+])
+def test_double_dash_option_value_exits_two(capsys, argv):
+    # argparse hands the command an empty list here, which no parser takes
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: '--' is not a value for any option\n"
+
+
 def test_dims_oracle_residue_mode(capsys):
     code, out, _ = run(capsys, "dims", "witt", "--n", "4", "--p", "2",
                        "--oracle", "--char", "5", "--format", "json")

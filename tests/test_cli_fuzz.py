@@ -1,0 +1,139 @@
+"""Hypothesis fuzzing of the CLI on tree files and swing-word text.
+
+Whatever the input, `main` returns 0, 1 or 2 and raises nothing, and when it
+refuses the input (exit 2) stdout stays empty and stderr carries the error.
+Tree files start from valid trees (every shape through 5 legs, relabelled)
+and take up to three structural mutations, then perhaps a field of the wrong
+type or a dropped key; swing words start from rendered valid ones,
+get characters inserted or replaced, or are arbitrary text.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from swingwords.cli import main
+from swingwords.textio import render_swingword
+from swingwords.trees import SwingWord, enumerate_topologies, relabel_legs, tree_to_json
+
+SHAPES = [shape for legs in range(2, 6) for shape in enumerate_topologies(legs)]
+
+# stand-ins for a well-typed field: wrong types, booleans, out-of-range integers
+ODD_VALUES = st.one_of(st.booleans(), st.none(), st.floats(), st.text(max_size=3),
+                       st.integers(-2, 9), st.lists(st.booleans(), max_size=3),
+                       st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2))
+
+
+def _drop_edge(draw, payload):
+    if payload["edges"]:
+        del payload["edges"][draw(st.integers(0, len(payload["edges"]) - 1))]
+
+
+def _duplicate_edge(draw, payload):
+    if payload["edges"]:
+        payload["edges"].append(draw(st.sampled_from(payload["edges"])))
+
+
+def _repoint_edge(draw, payload):
+    if payload["edges"]:
+        edge = draw(st.sampled_from(payload["edges"]))
+        edge[draw(st.integers(0, 1))] = draw(st.integers(-1, len(payload["vertices"]) + 2))
+
+
+def _wrong_cyclic(draw, payload):
+    vertex = draw(st.sampled_from(payload["vertices"]))
+    payload["cyclic"][str(vertex)] = draw(st.one_of(
+        st.permutations(range(3)),
+        st.lists(st.integers(-1, len(payload["edges"])), max_size=4)))
+
+
+def _odd_field(draw, payload):
+    payload[draw(st.sampled_from(["vertices", "edges", "cyclic", "legs", "p"]))] = draw(ODD_VALUES)
+
+
+def _boolean_entry(draw, payload):
+    flag = draw(st.booleans())
+    field = draw(st.sampled_from(["vertices", "edges", "cyclic", "legs"]))
+    if field == "vertices":
+        payload["vertices"][draw(st.integers(0, len(payload["vertices"]) - 1))] = flag
+    elif field == "edges" and payload["edges"]:
+        draw(st.sampled_from(payload["edges"]))[draw(st.integers(0, 1))] = flag
+    elif field == "cyclic" and any(payload["cyclic"].values()):
+        order = draw(st.sampled_from([o for o in payload["cyclic"].values() if o]))
+        order[draw(st.integers(0, len(order) - 1))] = flag
+    elif field == "legs":
+        payload["legs"][draw(st.sampled_from(sorted(payload["legs"])))] = flag
+
+
+def _drop_key(draw, payload):
+    del payload[draw(st.sampled_from(sorted(payload)))]
+
+
+# these keep every field's JSON type, so they compose; the two below do not
+MUTATIONS = [_drop_edge, _duplicate_edge, _repoint_edge, _wrong_cyclic, _boolean_entry]
+
+
+@st.composite
+def tree_texts(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    p = draw(st.integers(1, 3))
+    letters = draw(st.lists(st.integers(1, p), min_size=len(shape.legs),
+                            max_size=len(shape.legs)))
+    payload = json.loads(tree_to_json(relabel_legs(shape, letters, p)))
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        mutate(draw, payload)
+    last = draw(st.sampled_from([None, _odd_field, _drop_key]))
+    if last is not None:
+        last(draw, payload)
+    return json.dumps(payload)
+
+
+magmas = st.recursive(st.integers(0, 4), lambda inner: st.tuples(inner, inner), max_leaves=4)
+swing_words = st.builds(SwingWord, tail=st.integers(0, 4),
+                        beads=st.lists(magmas, max_size=3).map(tuple),
+                        head=st.one_of(st.none(), st.integers(0, 4)),
+                        sign=st.sampled_from((1, -1))).map(render_swingword)
+
+
+@st.composite
+def edited(draw, texts):
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    keep = draw(st.booleans())
+    return text[:at] + draw(st.characters()) + text[at + (0 if keep else 1):]
+
+
+def _assert_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: "), argv
+
+
+@settings(max_examples=150)
+@given(tree_texts(), st.one_of(st.none(), st.integers(1, 3)), st.sampled_from(["text", "json"]))
+def test_class_on_fuzzed_tree_files_keeps_the_exit_contract(text, p, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tree.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["class", "--tree", str(path), "--format", fmt]
+        _assert_contract(argv + ([] if p is None else ["-p", str(p)]))
+
+
+@settings(max_examples=200)
+@given(st.one_of(swing_words, edited(swing_words), st.text(max_size=20)),
+       st.integers(1, 3), st.sampled_from(["text", "json"]))
+# '²' passes str.isdigit, but int() refuses it
+@example("<²>", 1, "text")
+@example("<² |  | 1>", 1, "text")
+# argparse reads "--swingword=--" as an empty list
+@example("--", 1, "text")
+def test_rho_on_fuzzed_swing_words_keeps_the_exit_contract(text, p, fmt):
+    _assert_contract(["rho", f"--swingword={text}", "-p", str(p), "--format", fmt])

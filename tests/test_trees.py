@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -231,3 +232,80 @@ def test_degree_bookkeeping():
     chain = rho(read_swingword(to_vertebrate(t)), t.p)
     assert chain.degree() == 3
     assert chain.multidegree() == (1, 1, 1)
+
+
+def _reference_read(v):
+    """The earlier reader, kept as the reference: a parent map from the tail,
+    a backtrack from the head into a list of column edges, a forward walk
+    over that list, and a scan of the incidence list for each bead edge."""
+    tree = v.tree
+
+    def other_end(edge_index, vertex):
+        u, w = tree.edges[edge_index]
+        if vertex == u:
+            return w
+        if vertex == w:
+            return u
+        raise AssertionError(f"edge {edge_index} is not incident to vertex {vertex}")
+
+    def after(vertex, edge_index):
+        order = tree.cyclic[vertex]
+        i = order.index(edge_index)
+        return order[(i + 1) % 3], order[(i + 2) % 3]
+
+    def bead(vertex, entry_edge):
+        child = other_end(entry_edge, vertex)
+        if child in tree.legs:
+            return tree.legs[child]
+        first, second = after(child, entry_edge)
+        return (bead(child, first), bead(child, second))
+
+    inc = {x: [] for x in tree.vertices}
+    for index, (a, b) in enumerate(tree.edges):
+        inc[a].append(index)
+        inc[b].append(index)
+    parent_edge = {v.tail: None}
+    frontier = [v.tail]
+    while frontier:
+        x = frontier.pop()
+        for e in inc[x]:
+            y = other_end(e, x)
+            if y not in parent_edge:
+                parent_edge[y] = e
+                frontier.append(y)
+    column_edges = []
+    x = v.head
+    while x != v.tail:
+        column_edges.append(parent_edge[x])
+        x = other_end(parent_edge[x], x)
+    column_edges.reverse()
+    beads = []
+    sign = 1
+    current = v.tail
+    for in_edge, out_edge in zip(column_edges, column_edges[1:]):
+        current = other_end(in_edge, current)
+        bead_edge = next(e for e in inc[current] if e not in (in_edge, out_edge))
+        if after(current, in_edge) != (bead_edge, out_edge):
+            sign = -sign
+        beads.append(bead(current, bead_edge))
+    return SwingWord(tail=tree.legs[v.tail], beads=tuple(beads),
+                     head=tree.legs[v.head], sign=sign)
+
+
+def test_read_swingword_matches_reference_reader_through_six_legs():
+    draw = random.Random(7)
+    reads = 0
+    for num_legs in range(2, 7):
+        for shape in enumerate_topologies(num_legs):
+            # a seeded draw flips each trivalent vertex's orientation or not
+            cyclic = {x: (order[1], order[0], order[2]) if draw.random() < 0.5 else order
+                      for x, order in shape.cyclic.items()}
+            shape = JacobiTree(shape.vertices, shape.edges, cyclic, shape.legs, 2)
+            legs = shape.leg_vertices()
+            for letters in product((1, 2), repeat=num_legs):
+                tree = relabel_legs(shape, letters, 2)
+                for head, tail in permutations(legs, 2):
+                    v = Vertebrate(tree, head, tail)
+                    assert read_swingword(v) == _reference_read(v), (tree, head, tail)
+                    reads += 1
+    assert reads == 8 + 48 + 576 + 9600 + 201600
