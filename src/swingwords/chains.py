@@ -10,7 +10,9 @@ inputs is safe and bit-identical to sequential evaluation.
 every linear map of the package (chain arithmetic, eta, the folds, bead
 expansion, the tensor images, tree expansion) builds its result through it.
 Those maps wrap their pruned terms over valid words with `Chain._make`, which
-skips the letter check that `Chain(p, terms)` applies to outside input.
+skips the letter check that `Chain(p, terms)` applies to outside input. They
+accumulate integers: coefficients are cleared to one scale on the way in and
+divided once on the way out (`scalars.cleared`, `scalars.divided`).
 """
 
 from __future__ import annotations

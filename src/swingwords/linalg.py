@@ -7,11 +7,11 @@ of everything inserted. Insertion order therefore does not affect the final
 basis, only which inputs report as rank-increasing.
 
 Over the rationals elimination is fraction-free (Bareiss 1968): an incoming
-row has its denominators cleared once by their lcm, and every later step is
-integer arithmetic. Each stored row is primitive: an integer vector with
-content 1 and a positive leading entry, which is the one integer multiple of
-its reduced echelon row with those properties. Over F_q each stored row has
-leading entry 1.
+row is cleared to integers once (`scalars.cleared`), every later step is
+integer arithmetic, and a normal form is divided once (`scalars.divided`).
+Each stored row is primitive: an integer vector with content 1 and a positive
+leading entry, which is the one integer multiple of its reduced echelon row
+with those properties. Over F_q each stored row has leading entry 1.
 
 Invariant: every stored row is zero at every pivot column but its own. So
 clearing one pivot column of a row never changes its entry at another, and
@@ -20,8 +20,9 @@ clearing one pivot column of a row never changes its entry at another, and
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .scalars import cleared, divided
 
 
 class RowSpace:
@@ -34,16 +35,6 @@ class RowSpace:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def _scaled(self, row: dict) -> tuple[dict, int]:
-        """(integer row, scale) with row / scale the input, zeros dropped;
-        over F_q the row of residues and scale 1."""
-        char = self.char
-        if char is not None:
-            return {c: v % char for c, v in row.items() if v % char}, 1
-        row = {c: v for c, v in row.items() if v}
-        den = lcm(*(v.denominator for v in row.values()))
-        return {c: v.numerator * (den // v.denominator) for c, v in row.items()}, den
 
     def _clear(self, row: dict, col, pivot: dict) -> int:
         """row <- b*row - a*pivot, in place, pruning zeros (mod char if set),
@@ -69,8 +60,9 @@ class RowSpace:
         return b
 
     def _reduced(self, row: dict) -> tuple[dict, int]:
-        """(integer row, scale) whose quotient is the normal form of the input."""
-        row, scale = self._scaled(row)
+        """(integer row, scale) whose quotient is the normal form of the input;
+        over F_q the row of residues and scale 1."""
+        row, scale, _ = cleared(row, self.char)
         pivots = self.pivots
         for col in [c for c in row if c in pivots]:
             scale *= self._clear(row, col, pivots[col])
@@ -78,7 +70,7 @@ class RowSpace:
 
     def reduce(self, row: dict) -> dict:
         """Normal form of a row modulo the stored space."""
-        return _divided(*self._reduced(row))
+        return divided(*self._reduced(row))
 
     def contains(self, row: dict) -> bool:
         return not self._reduced(row)[0]
@@ -113,7 +105,7 @@ class RowSpace:
 
     def rows(self) -> list[dict]:
         """The reduced echelon basis, ordered by pivot column."""
-        return [_divided(dict(self.pivots[c]), self.pivots[c][c])
+        return [divided(dict(self.pivots[c]), self.pivots[c][c])
                 for c in sorted(self.pivots)]
 
     def __eq__(self, other):
@@ -122,17 +114,6 @@ class RowSpace:
         if self.char != other.char or set(self.pivots) != set(other.pivots):
             return False
         return all(self.pivots[c] == other.pivots[c] for c in self.pivots)
-
-
-def _divided(row: dict, scale: int) -> dict:
-    """row / scale, with an int wherever the quotient is integral."""
-    if scale == 1:
-        return row
-    out = {}
-    for c, v in row.items():
-        q = Fraction(v, scale)
-        out[c] = q.numerator if q.denominator == 1 else q
-    return out
 
 
 def row_space(rows, char: int | None = None) -> RowSpace:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Union
 
 from .chains import Chain, Word, accumulate
-from .scalars import InputError
+from .scalars import InputError, cleared, divided
 
 MagmaTerm = Union[int, tuple]
 # A magma term is a letter (leaf) or a pair (left, right) of magma terms:
@@ -18,6 +18,8 @@ MagmaTerm = Union[int, tuple]
 
 _ETA_MEMO: dict[Word, dict[Word, int]] = {}
 _EXPAND_MEMO: dict[MagmaTerm, dict[Word, int]] = {}
+# one tuple per word across the memos' entries, so that they share it
+_WORDS: dict[Word, Word] = {}
 
 
 def eta_word(word: Word) -> dict[Word, int]:
@@ -38,19 +40,32 @@ def eta_word(word: Word) -> dict[Word, int]:
         last = word[-1:]
         prefix = eta_word(word[:-1]).items()
         result = accumulate((last + w, c) for w, c in prefix)
-        accumulate(((w + last, -c) for w, c in prefix), result)
+        result = shared_words(accumulate(((w + last, -c) for w, c in prefix), result))
     _ETA_MEMO[word] = result
     return result
 
 
-def _linear_extension(chain: Chain, word_map) -> Chain:
-    return Chain._make(chain.p, accumulate((w, coeff * c) for word, coeff in chain.terms.items()
-                                           for w, c in word_map(word).items()))
+def shared_words(terms: dict[Word, object]) -> dict[Word, object]:
+    """The terms keyed by the one tuple of each word kept in `_WORDS`."""
+    share = _WORDS.setdefault
+    return {share(w, w): c for w, c in terms.items()}
+
+
+def linear_image(terms: dict[Word, int], word_map) -> dict[Word, int]:
+    """The image of integer terms under the linear extension of a word map."""
+    return accumulate((w, coeff * c) for word, coeff in terms.items()
+                      for w, c in word_map(word).items())
+
+
+def linear_extension(chain: Chain, word_map, divisor: int = 1) -> Chain:
+    """The image of a chain under an integer word map, over `divisor`."""
+    terms, scale, q = cleared(chain.terms)
+    return Chain._make(chain.p, divided(linear_image(terms, word_map), scale * divisor, q))
 
 
 def eta(chain: Chain) -> Chain:
     """Linear extension of eta; preserves degree and multidegree."""
-    return _linear_extension(chain, eta_word)
+    return linear_extension(chain, eta_word)
 
 
 def fold_l_word(n: int, word: Word) -> dict[Word, int]:
@@ -70,7 +85,7 @@ def fold_l_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_l(n: int, chain: Chain) -> Chain:
-    return _linear_extension(chain, lambda w: fold_l_word(n, w))
+    return linear_extension(chain, lambda w: fold_l_word(n, w))
 
 
 def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
@@ -86,7 +101,7 @@ def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_prime(n: int, chain: Chain) -> Chain:
-    return _linear_extension(chain, lambda w: fold_prime_word(n, w))
+    return linear_extension(chain, lambda w: fold_prime_word(n, w))
 
 
 def magma_leaves(term: MagmaTerm) -> tuple[int, ...]:

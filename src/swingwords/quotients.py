@@ -16,20 +16,25 @@ that same right extension: for k < n, fold_k(w.b) - w.b = (fold_k(w) - w).b,
 and the primed move agrees with the left one below the top index, so the
 degree-n span of either family is the degree-(n-1) left span with each letter
 appended, plus the family's top-index relations.
+
+Both canonical forms clear a chain to integer terms over one scale, sum the
+memoized integer word images, and divide once by the scale times n or n - 1.
+A residue chain takes the same path with scale 1 and is reduced mod q in that
+division, which refuses when q divides n or n - 1; the span fallback reads
+residues on entry to the row reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Literal
 
 from .chains import Chain, Multidegree, Word, accumulate, word_multidegree
 from .linalg import RowSpace
-from .moves import eta, eta_word, fold_l, fold_l_word, fold_prime_word
-from .scalars import (InputError, ModInt, ResourceLimitError, check_characteristic,
-                      invert_integer)
+from .moves import (eta, eta_word, fold_l, fold_l_word, fold_prime_word, linear_extension,
+                    linear_image, shared_words)
+from .scalars import InputError, ResourceLimitError, check_characteristic, cleared, divided
 
 Family = Literal["l", "prime"]
 
@@ -42,7 +47,8 @@ _PRIME_IMAGE_MEMO_MAX_DEGREE = 7
 
 @dataclass(frozen=True)
 class LieCanonical:
-    """Canonical representative of a chain in the left-fold quotient."""
+    """Canonical representative of a chain in the left-fold quotient. All zero
+    classes are equal, whatever their degree; so are PrimeCanonical's."""
 
     degree: int
     chain: Chain
@@ -51,17 +57,16 @@ class LieCanonical:
     def is_zero(self) -> bool:
         return self.chain.is_zero()
 
+    def _key(self) -> tuple:
+        return () if self.is_zero() else (self.degree, self.chain)
+
     def __eq__(self, other):
         if not isinstance(other, LieCanonical):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.chain == other.chain
+        return self._key() == other._key()
 
     def __hash__(self):
-        if self.is_zero():
-            return hash(())
-        return hash((self.degree, self.chain))
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,16 @@ class PrimeCanonical:
     def is_zero(self) -> bool:
         return self.image.is_zero()
 
+    def _key(self) -> tuple:
+        return () if self.is_zero() else (self.degree, self.image)
+
     def __eq__(self, other):
         if not isinstance(other, PrimeCanonical):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.image == other.image
+        return self._key() == other._key()
 
     def __hash__(self):
-        if self.is_zero():
-            return hash(())
-        return hash((self.degree, self.image))
+        return hash(self._key())
 
 
 class RelationSpan:
@@ -157,8 +161,8 @@ class RelationSpan:
         """Normal form of a degree-homogeneous chain modulo the relations,
         over the chain's own alphabet (the moves keep each word's letters).
 
-        Over F_q residue and rational coefficients are first mapped to their
-        integer residues mod q, so every kind of chain reduces alike.
+        Over F_q every kind of coefficient is read as its residue mod q
+        (`scalars.cleared`), and the normal form has integer residues.
         """
         if chain.is_zero():
             return chain
@@ -171,8 +175,6 @@ class RelationSpan:
                                      f"span's alphabet 1..{self.p}")
         per_md: dict[Multidegree, dict[Word, object]] = {}
         for word, coeff in chain.terms.items():
-            if self.char is not None and not isinstance(coeff, int):
-                coeff = (ModInt(0, self.char) + coeff).value
             per_md.setdefault(word_multidegree(word, self.p), {})[word] = coeff
         out: dict[Word, object] = {}
         for md, row in per_md.items():
@@ -232,8 +234,12 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     if char is not None and degree % char == 0:
         span = relation_span(degree, chain.p, "l", char)
         return LieCanonical(degree, span.reduce(chain), method="span")
-    scale = invert_integer(degree if (degree - 1) % 2 == 0 else -degree, char)
-    return LieCanonical(degree, eta(chain).scale(scale))
+    signed = degree if (degree - 1) % 2 == 0 else -degree
+    if char is None:
+        return LieCanonical(degree, linear_extension(chain, eta_word, signed))
+    # eta in the chain's own field, read mod char term by term
+    image, _, q = cleared(eta(chain).terms, char)
+    return LieCanonical(degree, Chain._make(chain.p, divided(image, signed, q)))
 
 
 def _split(word: Word, coeff) -> Iterable[tuple[Word, object]]:
@@ -254,7 +260,7 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     for w, c in fold_l_word(n, word).items():
         accumulate(_split(w, -sign * c), out)
     if n <= _PRIME_IMAGE_MEMO_MAX_DEGREE:
-        _PRIME_IMAGE_MEMO[word] = out
+        out = _PRIME_IMAGE_MEMO[word] = shared_words(out)
     return out
 
 
@@ -262,38 +268,28 @@ def g_image_key(chain: Chain) -> dict[Word, object]:
     """The integer-scaled primed class key: (degree - 1) * g(chain) as a term
     dict over words. Chains of one degree are equal in the primed quotient
     exactly when their keys are equal."""
-    out: dict[Word, object] = {}
-    for word, coeff in chain.terms.items():
-        accumulate(((key, coeff * c) for key, c in _g_image_scaled(word).items()), out)
-    return out
+    return linear_image(chain.terms, _g_image_scaled)
 
 
-def _split_scale(chain: Chain) -> tuple[int, object]:
-    """The degree n >= 2 of a chain and 1/(n - 1) in its coefficient field;
-    over F_q with q dividing n - 1 this raises ZeroDivisionError for every
-    nonzero chain, whether or not its image vanishes."""
+def _tensor_image(chain: Chain, word_map) -> Chain:
+    """The image of a degree-n chain under an integer word map, over n - 1; over
+    F_q with q | n - 1 it refuses every nonzero chain, whatever its image."""
     degree = chain.degree()
     if degree is None:
         raise InputError("the zero chain has no well-defined degree")
     if degree < 2:
         raise InputError("the tensor image requires degree >= 2")
-    return degree, next(iter(chain.terms.values())) * 0 + Fraction(1, degree - 1)
+    return linear_extension(chain, word_map, degree - 1)
 
 
 def g_prime_map(chain: Chain) -> Chain:
     """Split each word into (canonical prefix) tensor (last letter)."""
-    degree, scale = _split_scale(chain)
-    sign = 1 if degree % 2 == 0 else -1
-    out: dict[Word, object] = {}
-    for word, coeff in chain.terms.items():
-        accumulate(_split(word, sign * coeff), out)
-    return Chain._make(chain.p, {k: v * scale for k, v in out.items()})
+    return _tensor_image(chain, lambda w: dict(_split(w, 1 if len(w) % 2 == 0 else -1)))
 
 
 def g_map(chain: Chain) -> Chain:
     """g = g' - g' after the top left-fold; kills every primed relation."""
-    _, scale = _split_scale(chain)
-    return Chain._make(chain.p, {k: v * scale for k, v in g_image_key(chain).items()})
+    return _tensor_image(chain, _g_image_scaled)
 
 
 def canonical_prime(chain: Chain) -> PrimeCanonical:
@@ -321,8 +317,6 @@ def choose_head(word: Iterable[int], position: int, p: int | None = None) -> Cha
         p = max(w, default=1)
     if not 1 <= position <= len(w):
         raise InputError(f"position {position} out of range for a word of length {len(w)}")
-    if position == 1:
-        return Chain.of_word(p, w)
     return fold_l(position, Chain.of_word(p, w))
 
 
@@ -332,12 +326,11 @@ def choose_head_by_letter(chain: Chain, letter: int) -> Chain:
     The letter must occur exactly once in each word, else the marking is
     ambiguous and an input error is raised.
     """
-    out = Chain.zero(chain.p)
-    for word, coeff in chain.iter_terms():
+    def head_first(word: Word) -> dict[Word, int]:
         positions = [i for i, a in enumerate(word, start=1) if a == letter]
         if len(positions) != 1:
             raise InputError(
                 f"letter {letter} occurs {len(positions)} times in {list(word)}; "
                 "head choice needs a unique occurrence")
-        out = out + choose_head(word, positions[0], chain.p).scale(coeff)
-    return out
+        return fold_l_word(positions[0], word)
+    return linear_extension(chain, head_first)

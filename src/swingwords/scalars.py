@@ -3,11 +3,17 @@
 Rational coefficients are plain ints and fractions.Fraction (Python keeps them
 interchangeable in dicts and comparisons). Residue coefficients are ModInt
 instances; the two kinds never mix inside one chain.
+
+The linear maps and the row reduction run on integers: `cleared` turns
+coefficients into integer terms over one scale (the lcm of the denominators
+over Q, 1 over F_q, where the terms are residues), and `divided` turns an
+integer result and its scale back into coefficients, once, at the output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class InputError(ValueError):
@@ -148,7 +154,27 @@ def invert_integer(n: int, char: int | None = None):
     return inv
 
 
-def coeff_str(c) -> str:
-    if isinstance(c, ModInt):
-        return str(c.value)
-    return str(c)
+def cleared(terms: dict, char: int | None = None) -> tuple[dict, int, int | None]:
+    """(integer terms, scale, q) with terms = integer terms / scale, zeros
+    dropped; q is `char`, else the ModInt characteristic, else None for Q.
+    Over Q the scale is the lcm of the denominators; over F_q it is 1 and the
+    integer terms are residues, read as ModInt arithmetic reads them."""
+    first = next(iter(terms.values()), None)
+    q = first.q if char is None and isinstance(first, ModInt) else char
+    if q is None:
+        scale = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+        return {k: c.numerator * (scale // c.denominator) for k, c in terms.items() if c}, scale, q
+    return {k: r for k, c in terms.items()
+            if (r := (c if type(c) is int else (ModInt(0, q) + c).value) % q)}, 1, q
+
+
+def divided(terms: dict, scale: int, q: int | None = None) -> dict:
+    """integer terms / scale as coefficients, the inverse of `cleared`: over Q
+    an int where the quotient is integral, else a Fraction; over F_q a nonzero
+    ModInt, raising ZeroDivisionError if q divides the scale, whatever the terms."""
+    if q is not None:
+        inv = invert_integer(scale, q).value
+        return {k: ModInt(r, q) for k, v in terms.items() if (r := v * inv % q)}
+    if scale == 1:
+        return terms
+    return {k: Fraction(v, scale) if v % scale else v // scale for k, v in terms.items()}

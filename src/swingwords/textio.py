@@ -17,7 +17,7 @@ import re
 
 from .chains import Chain, Word, accumulate
 from .moves import MagmaTerm
-from .scalars import InputError, ModInt, coeff_str, make_coefficient
+from .scalars import InputError, ModInt, make_coefficient
 
 
 class ChainSyntaxError(InputError):
@@ -27,112 +27,100 @@ class ChainSyntaxError(InputError):
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<sym>[\[\],+\-*/]))")
+_SPACES = re.compile(r"\s*")
 
 
 class _Tokens:
+    """The tokens of a text, each matched once: `peek` at the next one, or
+    take it with `next`, `accept` or `number`."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._peeked = (-1, None, 0)  # (position, token, end) of the last match
 
     def peek(self):
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:].strip()
-            if rest:
-                raise ChainSyntaxError(f"unexpected character {rest[0]!r}", self.pos)
-            return None, self.pos
-        return (m.group("num") or m.group("sym")), m.end()
+        if self._peeked[0] != self.pos:
+            m = _TOKEN.match(self.text, self.pos)
+            if m is None:
+                rest = self.text[self.pos:].strip()
+                if rest:
+                    raise ChainSyntaxError(f"unexpected character {rest[0]!r}", self.pos)
+                self._peeked = (self.pos, None, self.pos)
+            else:
+                self._peeked = (self.pos, m.group("num") or m.group("sym"), m.end())
+        return self._peeked[1]
 
     def next(self):
-        tok, end = self.peek()
-        if tok is not None:
-            self.pos = end
+        tok = self.peek()
+        self.pos = self._peeked[2]
         return tok
+
+    def accept(self, sym: str) -> bool:
+        """Take the next token if it is `sym`."""
+        if self.peek() != sym:
+            return False
+        self.next()
+        return True
+
+    def number(self, what: str) -> int:
+        """Take the next token as a number, or refuse with 'expected <what>'."""
+        tok = self.peek()
+        if tok is None or not tok.isdigit():
+            raise ChainSyntaxError(f"expected {what}", self.pos)
+        self.next()
+        return int(tok)
 
 
 def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
     """Parse the chain grammar into a normalized Chain over the alphabet 1..p."""
     tokens = _Tokens(text)
+    if tokens.peek() is None:
+        raise ChainSyntaxError("empty chain", tokens.pos)
     terms: dict[Word, object] = {}
     sign = 1
-    first = True
     while True:
-        tok, _ = tokens.peek()
-        if tok is None:
-            if first:
-                raise ChainSyntaxError("empty chain", tokens.pos)
-            break
-        if not first:
-            if tok not in "+-":
-                raise ChainSyntaxError(f"expected '+' or '-', got {tok!r}", tokens.pos)
-            tokens.next()
-            sign = 1 if tok == "+" else -1
         word, coeff = _parse_term(tokens, p, char)
         accumulate([(word, coeff if sign == 1 else -coeff)], terms)
-        first = False
-    return Chain(p, terms)
+        tok = tokens.peek()
+        if tok is None:
+            return Chain(p, terms)
+        if tok not in "+-":
+            raise ChainSyntaxError(f"expected '+' or '-', got {tok!r}", tokens.pos)
+        sign = 1 if tokens.next() == "+" else -1
 
 
 def _parse_term(tokens: _Tokens, p: int, char: int | None):
-    tok, _ = tokens.peek()
-    if tok == "[":
+    if tokens.peek() == "[":
         return _parse_word(tokens, p), make_coefficient(1, char=char)
     coeff = _parse_coeff(tokens, char)
-    tok, _ = tokens.peek()
-    if tok == "*":
-        tokens.next()
-        return _parse_word(tokens, p), coeff
-    return (), coeff
+    return (_parse_word(tokens, p) if tokens.accept("*") else ()), coeff
 
 
 def _parse_coeff(tokens: _Tokens, char: int | None):
-    sign = 1
-    tok, _ = tokens.peek()
-    if tok == "-":
-        tokens.next()
-        sign = -1
-    tok, pos = tokens.peek()
-    if tok is None or not tok.isdigit():
-        raise ChainSyntaxError("expected a coefficient", tokens.pos)
-    tokens.next()
-    numerator = sign * int(tok)
+    sign = -1 if tokens.accept("-") else 1
+    numerator = sign * tokens.number("a coefficient")
     denominator = 1
-    tok, _ = tokens.peek()
-    if tok == "/":
-        tokens.next()
-        den, _ = tokens.peek()
-        if den is None or not den.isdigit():
-            raise ChainSyntaxError("expected a denominator", tokens.pos)
-        tokens.next()
-        denominator = int(den)
+    if tokens.accept("/"):
+        denominator = tokens.number("a denominator")
         if denominator == 0:
             raise ChainSyntaxError("zero denominator", tokens.pos)
     return make_coefficient(numerator, denominator, char)
 
 
 def _parse_word(tokens: _Tokens, p: int) -> Word:
-    tok, _ = tokens.peek()
-    if tok != "[":
+    if not tokens.accept("["):
         raise ChainSyntaxError("expected '['", tokens.pos)
-    tokens.next()
     letters = []
     while True:
-        tok, _ = tokens.peek()
-        if tok is None or not tok.isdigit():
-            raise ChainSyntaxError("expected a letter", tokens.pos)
-        tokens.next()
-        letter = int(tok)
+        letter = tokens.number("a letter")
         if not 1 <= letter <= p:
             raise ChainSyntaxError(f"letter {letter} outside alphabet 1..{p}", tokens.pos)
         letters.append(letter)
-        tok, _ = tokens.peek()
-        if tok == ",":
-            tokens.next()
-            continue
-        if tok == "]":
-            tokens.next()
+        if tokens.accept("]"):
             return tuple(letters)
-        raise ChainSyntaxError("expected ',' or ']'", tokens.pos)
+        if not tokens.accept(","):
+            raise ChainSyntaxError("expected ',' or ']'", tokens.pos)
 
 
 def _signed_sum(terms) -> str:
@@ -142,7 +130,7 @@ def _signed_sum(terms) -> str:
     for coeff, suffix in terms:
         negative = not isinstance(coeff, ModInt) and coeff < 0
         sign = ("- " if negative else "+ ") if pieces else ("-" if negative else "")
-        pieces.append(sign + coeff_str(-coeff if negative else coeff) + suffix)
+        pieces.append(sign + str(-coeff if negative else coeff) + suffix)
     return " ".join(pieces) or "0"
 
 
@@ -170,15 +158,13 @@ def parse_magma(text: str) -> MagmaTerm:
 
 
 def _parse_magma(text: str, pos: int):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
+    pos = _SPACES.match(text, pos).end()
     if pos >= len(text):
         raise InputError("unexpected end of magma term")
     if text[pos] == "(":
         left, pos = _parse_magma(text, pos + 1)
         right, pos = _parse_magma(text, pos)
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        pos = _SPACES.match(text, pos).end()
         if pos >= len(text) or text[pos] != ")":
             raise InputError(f"expected ')' at position {pos}")
         return (left, right), pos + 1
@@ -221,10 +207,7 @@ def parse_swingword(text: str):
         raise InputError(f"swing word tail and head must be letters: {text!r}")
     beads = []
     pos = 0
-    while pos < len(beads_text):
-        if beads_text[pos].isspace():
-            pos += 1
-            continue
+    while pos < len(beads_text):  # stripped, so a term follows any space
         term, pos = _parse_magma(beads_text, pos)
         beads.append(term)
     return SwingWord(tail=int(tail_text), beads=tuple(beads), head=int(head_text), sign=sign)

@@ -1,11 +1,12 @@
-"""Hypothesis fuzzing of the CLI on tree files and swing-word text.
+"""Hypothesis fuzzing of the CLI on tree files, swing-word text and chain text.
 
 Whatever the input, `main` returns 0, 1 or 2 and raises nothing, and when it
 refuses the input (exit 2) stdout stays empty and stderr carries the error.
 Tree files start from valid trees (every shape through 5 legs, relabelled)
 and take up to three structural mutations, then perhaps a field of the wrong
-type or a dropped key; swing words start from rendered valid ones,
-get characters inserted or replaced, or are arbitrary text.
+type or a dropped key; swing words and chains start from rendered valid ones,
+get characters inserted or replaced, or are arbitrary text. Chains go through
+`eta`, both folds and both reductions, over Q and over F_q for q = 3, 5, 7.
 """
 
 import io
@@ -16,8 +17,9 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from swingwords.chains import Chain
 from swingwords.cli import main
-from swingwords.textio import render_swingword
+from swingwords.textio import render_chain, render_swingword
 from swingwords.trees import SwingWord, enumerate_topologies, relabel_legs, tree_to_json
 
 SHAPES = [shape for legs in range(2, 6) for shape in enumerate_topologies(legs)]
@@ -137,3 +139,29 @@ def test_class_on_fuzzed_tree_files_keeps_the_exit_contract(text, p, fmt):
 @example("--", 1, "text")
 def test_rho_on_fuzzed_swing_words_keeps_the_exit_contract(text, p, fmt):
     _assert_contract(["rho", f"--swingword={text}", "-p", str(p), "--format", fmt])
+
+
+@st.composite
+def chains(draw):
+    """A rendered chain over 1..3: homogeneous of degree 1-5, or of mixed degrees."""
+    degree = draw(st.one_of(st.just(None), st.integers(1, 5)))
+    length = st.integers(1, 5) if degree is None else st.just(degree)
+    words = length.flatmap(lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = draw(st.dictionaries(words.map(tuple), coeffs, max_size=4))
+    return render_chain(Chain(3, terms))
+
+
+CHAIN_COMMANDS = (["eta"], ["fold", "--kind", "l"], ["fold", "--kind", "prime"],
+                  ["reduce", "--space", "l"], ["reduce", "--space", "prime"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chains(), edited(chains()), st.text(max_size=20)),
+       st.sampled_from(CHAIN_COMMANDS), st.integers(-1, 6),
+       st.sampled_from((None, 3, 5, 7)), st.sampled_from((2, 3)),
+       st.sampled_from(["text", "json"]))
+def test_chain_commands_on_fuzzed_chains_keep_the_exit_contract(text, command, n, char, p, fmt):
+    argv = command + (["--n", str(n)] if command[0] == "fold" else [])
+    argv += [f"--chain={text}", "-p", str(p), "--format", fmt]
+    _assert_contract(argv + ([] if char is None else ["--char", str(char)]))
