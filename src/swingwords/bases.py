@@ -4,6 +4,14 @@
 Basis selection is greedy over lexicographic word order with exact rank
 updates; the rank can never exceed the formula dimension, so the row spaces
 involved stay small even when the word blocks are large.
+
+An h basis is certified by the dimension of the kernel of the re-attachment
+map ell on (Lie part) tensor (letters), an exact rank computation over Q
+(`ell_ranks`): the ambient rows that raise the rank span the ambient space, so
+by linearity their images span the image of ell, and by the Dynkin-Specht-Wever
+theorem each image is a rational multiple -(n - 1)/n of a bracket row, which
+needs no degree-n eta; every row is a Lie element, read at its Lyndon words
+only. That multiple can vanish mod q, so the certificate is computed over Q.
 """
 
 from __future__ import annotations
@@ -11,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .chains import Chain, Multidegree, Word
+from .chains import Chain, Multidegree, Word, accumulate
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
-from .quotients import canonical_l, g_image_key
+from .quotients import g_image_key
 from .scalars import InputError, ResourceLimitError
 
 DEFAULT_MAX_BLOCK = 2_000_000
@@ -120,22 +128,54 @@ def h_basis(m) -> BasisSet:
 
 def ell_ranks(pairs, p: int) -> tuple[int, int]:
     """Ranks of the span of eta(u) (x) letter over the given (u, letter) pairs
-    in the tensor space, and of its image under the re-attachment map ell.
-    One row over the words w.letter per pair is both tensor and chain."""
+    in the tensor space over 1..p, and of its image under the re-attachment
+    map ell, both over Q. A tensor u (x) b is stored as the word u.b.
+
+    - Spanning set: one full pass inserts every ambient row, with no early
+      break and no rank taken from a formula. The pairs whose rows raised the
+      rank span the ambient space, so by linearity their images span the
+      image of ell.
+    - Bracket rows: eta sends a Lie element x of degree d to (-1)^(d-1) d x
+      (Dynkin-Specht-Wever; Reutenauer, Free Lie Algebras, 1993, Thm 1.4)
+      and eta(x.b) = b.eta(x) - eta(x).b, so ell(eta(u).b) = -(n - 1)/n *
+      (b.eta(u) - eta(u).b): the bracket spans the line of the image row
+      with no degree-n eta.
+    - Lyndon columns: a Lie element is determined by its coefficients at
+      Lyndon words, since the Lyndon basis element P_l is l plus
+      lexicographically larger words (Lothaire, Combinatorics on Words,
+      1983, Ch. 5). Ambient rows (eta(u) with b appended) and bracket rows
+      are read there only: the same ranks, raised by the same rows, over
+      about 1/n of the columns.
+
+    Over F_q the multiple needs q to divide neither n nor n - 1, so the
+    certificate stays over Q.
+    """
     ambient = RowSpace()
     image = RowSpace()
+    lyndon: dict[Word, bool] = {}
+
+    def is_lyndon(word: Word) -> bool:
+        known = lyndon.get(word)
+        if known is None:
+            # strictly below each of its proper suffixes, lexicographically
+            known = lyndon[word] = all(word < word[i:] for i in range(1, len(word)))
+        return known
+
     for u, letter in pairs:
-        row = {w + (letter,): c for w, c in eta_word(u).items()}
-        if not row:
-            continue
-        ambient.insert(row)
-        image.insert(dict(canonical_l(Chain(p, row)).chain.terms))
+        lie = eta_word(u).items()
+        if ambient.insert({w + (letter,): c for w, c in lie if is_lyndon(w)}):
+            head = (letter,)
+            bracket = accumulate(((w + head, -c) for w, c in lie),
+                                 {head + w: c for w, c in lie})
+            image.insert({w: c for w, c in bracket.items() if is_lyndon(w)})
     return ambient.rank, image.rank
 
 
 def _ell_kernel_dim(md: Multidegree) -> int:
     """dim ker of the re-attachment map on (Lie part) tensor (letters), per
-    multidegree: ambient rank minus image rank, all by exact row reduction."""
+    multidegree: ambient rank minus image rank, both by exact row reduction
+    over Q of the rows `ell_ranks` builds (a spanning set of the ambient rows
+    and one bracket row per member of it)."""
     pairs = ((u, letter) for letter, count in enumerate(md, start=1) if count
              for u in enum_words(md[:letter - 1] + (count - 1,) + md[letter:]))
     ambient, image = ell_ranks(pairs, len(md))

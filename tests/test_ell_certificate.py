@@ -1,0 +1,94 @@
+"""The re-attachment-kernel certificate against its all-pairs form.
+
+`bases.ell_ranks` inserts the bracket row b.eta(u) - eta(u).b of each pair
+whose ambient row raised the rank, read at its Lyndon words. The reference
+below is the earlier implementation: it inserts every ambient row eta(u).b and
+the image of every one under `canonical_l`, a full eta of degree n, over all
+words. Both must give the same (ambient, image) ranks.
+
+The two facts that make this exact are checked on their own, with no
+certificate code: the identity ell(eta(u).b) = -(n - 1)/n * (b.eta(u) -
+eta(u).b), and that Lie elements keep their rank when read at Lyndon words.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from swingwords.bases import _ell_kernel_dim, ell_ranks, enum_words
+from swingwords.chains import Chain
+from swingwords.dims import h_dim_multidegree, witt_multidegree
+from swingwords.linalg import RowSpace, rank
+from swingwords.moves import eta, eta_word
+from swingwords.quotients import canonical_l
+
+
+def ref_ell_ranks(pairs, p):
+    ambient = RowSpace()
+    image = RowSpace()
+    for u, letter in pairs:
+        row = {w + (letter,): c for w, c in eta_word(u).items()}
+        if not row:
+            continue
+        ambient.insert(row)
+        image.insert(dict(canonical_l(Chain(p, row)).chain.terms))
+    return ambient.rank, image.rank
+
+
+def kernel_pairs(md):
+    """The (u, letter) pairs of `_ell_kernel_dim`: every u of multidegree
+    md - e_letter, letter by letter."""
+    return [(u, letter) for letter, count in enumerate(md, start=1) if count
+            for u in enum_words(md[:letter - 1] + (count - 1,) + md[letter:])]
+
+
+def multidegrees(p, max_total):
+    return [md for md in product(range(max_total + 1), repeat=p) if 1 <= sum(md) <= max_total]
+
+
+CERTIFIED = ([md for p in (1, 2, 3) for md in multidegrees(p, 7)]
+             + multidegrees(4, 6))
+
+
+def test_ell_ranks_match_the_all_pairs_reference_per_multidegree():
+    nonzero = 0
+    for md in CERTIFIED:
+        pairs = kernel_pairs(md)
+        ambient, image = ref_ell_ranks(pairs, len(md))
+        assert ell_ranks(iter(pairs), len(md)) == (ambient, image), md
+        assert _ell_kernel_dim(md) == ambient - image == h_dim_multidegree(md), md
+        nonzero += ambient > image > 0
+    # about half the cases have both a nonzero image and a nonzero kernel
+    assert (len(CERTIFIED), nonzero) == (370, 180)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ell_ranks_match_the_reference_on_the_exactness_streams(p):
+    # the pair stream of `suite_exactness`: every word of degree n - 1, every letter
+    for n in range(2, 7):
+        pairs = [(u, b) for u in product(range(1, p + 1), repeat=n - 1)
+                 for b in range(1, p + 1)]
+        assert ell_ranks(iter(pairs), p) == ref_ell_ranks(pairs, p), (n, p)
+
+
+def test_bracket_rows_are_multiples_of_the_image_rows():
+    p = 3
+    for n in range(2, 8):
+        multiple = Fraction(-(n - 1), n)
+        for u in product(range(1, p + 1), repeat=n - 1):
+            lie = eta(Chain.of_word(p, u))
+            for b in range(1, p + 1):
+                letter = Chain.of_word(p, (b,))
+                image = canonical_l(lie * letter)
+                assert image.chain == (letter * lie - lie * letter).scale(multiple), (u, b)
+
+
+def test_lie_elements_keep_their_rank_at_lyndon_words():
+    for md in multidegrees(3, 7):
+        words = enum_words(md)
+        # a Lyndon word is strictly below each of its proper rotations
+        lyndon = {w for w in words if all(w < w[i:] + w[:i] for i in range(1, len(w)))}
+        rows = [eta_word(w) for w in words]
+        at_lyndon = [{w: c for w, c in row.items() if w in lyndon} for row in rows]
+        assert rank(at_lyndon) == rank(rows) == witt_multidegree(md), md
