@@ -17,24 +17,36 @@ and the primed move agrees with the left one below the top index, so the
 degree-n span of either family is the degree-(n-1) left span with each letter
 appended, plus the family's top-index relations.
 
-Both canonical forms clear a chain to integer terms over one scale, sum the
-memoized integer word images, and divide once by the scale times n or n - 1.
-A residue chain takes the same path with scale 1 and is reduced mod q in that
-division, which refuses when q divides n or n - 1; the span fallback reads
-residues on entry to the row reduction.
+The scaled g-image (n - 1) g(w) of a word is an integer vector computed by
+a right-nested bracket recursion (Reutenauer, Free Lie Algebras, ch. 1): one
+bracket [eta(a_1..a_{k-1}), Z_k] per position k, where Z_k = eta(a_n..a_{k+1})
+is the right-nested bracket of the letters after a_k, both read from the eta
+memo. That is about n 2^(n-2) products in place of the 4^(n-2) of running g'
+on every word of fold_l(n, w); `_g_image_scaled` gives the formula and its
+derivation.
+
+Both canonical forms clear a chain to integer terms over one scale and sum the
+memoized integer word images. The left form divides once by the scale times
+n. The primed form keeps its integer terms over the scale times n - 1,
+normalised by their gcd over Q and reduced mod q over F_q, compares and
+hashes those, and divides only when its image is read. A residue chain takes
+the same path with scale 1 and refuses when q divides n or n - 1; the span
+fallback reads residues on entry to the row reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from typing import Iterable, Literal
 
 from .chains import Chain, Multidegree, Word, accumulate, word_multidegree
 from .linalg import RowSpace
 from .moves import (eta, eta_word, fold_l, fold_l_word, fold_prime_word, linear_extension,
                     linear_image, shared_words)
-from .scalars import InputError, ResourceLimitError, check_characteristic, cleared, divided
+from .scalars import (InputError, ResourceLimitError, check_characteristic, cleared, divided,
+                      invert_integer)
 
 Family = Literal["l", "prime"]
 
@@ -69,27 +81,67 @@ class LieCanonical:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
 class PrimeCanonical:
     """Canonical key of a chain in the primed-fold quotient: its g-image, a
-    chain of degree-n words."""
+    chain of degree-n words.
 
-    degree: int
-    image: Chain
+    The key is held as integer terms over one scale, image = terms / scale:
+    over Q with gcd(scale, terms) = 1 and scale > 0, over F_q as residues
+    with scale 1. Equality and hashing read these integers, and `image`
+    divides once, on first use. Building the key over F_q inverts the scale,
+    so a residue chain of degree n with q | n - 1 is refused whatever its
+    image. Keys over different fields or alphabets differ, except that all
+    zero classes are equal, whatever their degree, alphabet or field.
+    """
+
+    __slots__ = ("degree", "p", "_terms", "_scale", "_q", "_image")
+
+    def __init__(self, degree: int, image: Chain):
+        self._set(degree, image.p, *cleared(image.terms))
+        self._image = image
+
+    @classmethod
+    def _scaled(cls, degree: int, p: int, terms: dict[Word, int], scale: int,
+                q: int | None) -> "PrimeCanonical":
+        """The class whose image is terms / scale, read mod q over F_q."""
+        key = cls.__new__(cls)
+        key._set(degree, p, terms, scale, q)
+        key._image = None
+        return key
+
+    def _set(self, degree: int, p: int, terms: dict[Word, int], scale: int,
+             q: int | None) -> None:
+        if q is not None:
+            inverse = invert_integer(scale, q).value
+            terms = {w: r for w, v in terms.items() if (r := v * inverse % q)}
+            scale = 1
+        elif (common := gcd(scale, *terms.values())) != 1:
+            terms = {w: v // common for w, v in terms.items()}
+            scale //= common
+        self.degree, self.p, self._terms, self._scale, self._q = degree, p, terms, scale, q
+
+    @property
+    def image(self) -> Chain:
+        if self._image is None:
+            self._image = Chain._make(self.p, divided(self._terms, self._scale, self._q))
+        return self._image
 
     def is_zero(self) -> bool:
-        return self.image.is_zero()
+        return not self._terms
 
     def _key(self) -> tuple:
-        return () if self.is_zero() else (self.degree, self.image)
+        return () if self.is_zero() else (self.degree, self.p, self._q, self._scale)
 
     def __eq__(self, other):
         if not isinstance(other, PrimeCanonical):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key() == other._key() and self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self._key(), frozenset(self._terms.items())))
+
+    def __repr__(self):
+        return f"PrimeCanonical(degree={self.degree}, image={self.image!r})"
 
 
 class RelationSpan:
@@ -242,33 +294,73 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     return LieCanonical(degree, Chain._make(chain.p, divided(image, signed, q)))
 
 
-def _split(word: Word, coeff) -> Iterable[tuple[Word, object]]:
-    """coeff * eta(prefix) (x) last letter, the unscaled split of a word, with
-    each u (x) b stored as the word u.b."""
+def _g_prime_scaled(word: Word) -> dict[Word, int]:
+    """g'(word) scaled by (degree - 1): (-1)^n eta(prefix) (x) last letter,
+    with each u (x) b stored as the word u.b."""
     last = word[-1:]
-    return ((u + last, coeff * c) for u, c in eta_word(word[:-1]).items())
+    sign = 1 if len(word) % 2 == 0 else -1
+    return {u + last: sign * c for u, c in eta_word(word[:-1]).items()}
 
 
 def _g_image_scaled(word: Word) -> dict[Word, int]:
-    """g(word) scaled by (degree - 1): an integer vector over degree-n words."""
+    """g(word) scaled by (degree - 1): an integer vector over degree-n words.
+
+    With w = a_1..a_n, E_k = eta(a_1..a_k), Z_k = eta(a_n a_{n-1}..a_{k+1})
+    (the right-nested bracket [a_{k+1}, [.., [a_{n-1}, a_n]]]), [x, y] = xy - yx
+    and a trailing .a the stored tensor (x) a, it is the bracket recursion
+
+        (n-1) g(w) = (-1)^n E_{n-1}.a_n
+                     + sum_{k=2}^{n-1} (-1)^(k+1) [E_{k-1}, Z_k].a_k + Z_1.a_1.
+
+    The first term is (n-1) g'(w); the rest is -(n-1) g'(fold_l(n, w)), by
+    three facts:
+    - fold_l(n, w) = (-1)^(n-1) a_n.E_{n-1}, and sorting the words of E_{n-1}
+      by their last letter gives E_{n-1} = a_{n-1}..a_1
+      - sum_{k=2}^{n-1} a_{n-1}..a_{k+1}.E_{k-1}.a_k;
+    - (n-1) g' takes a word a_n.x.b to (-1)^n eta(a_n.x).b, and
+      eta(a.x_1..x_m) = ad_{x_m}..ad_{x_1}(a) with ad_x(y) = [x, y], so the
+      word a_{n-1}..a_{k+1} takes a_n to Z_k;
+    - by the Jacobi identity the words of a Lie element P of degree d act
+      as (-1)^(d-1) ad_P, and E_{k-1} is one.
+    The k-th bracket takes 2^(n-2) products of memoized eta terms, so a word
+    costs about n 2^(n-2) dict updates, where running g' on each of the
+    2^(n-2) words of the fold takes 4^(n-2). A single letter gets image 0,
+    as eta of the empty word is 0; the empty word itself is refused.
+    """
     cached = _PRIME_IMAGE_MEMO.get(word)
     if cached is not None:
         return cached
     n = len(word)
-    sign = 1 if n % 2 == 0 else -1
-    out = accumulate(_split(word, sign))
-    for w, c in fold_l_word(n, word).items():
-        accumulate(_split(w, -sign * c), out)
+    if n == 0:
+        raise InputError("the empty word has no tensor image")
+    terms = [(v + word[:1], d) for v, d in eta_word(word[1:][::-1]).items()]
+    for k in range(2, n):
+        a = word[k - 1:k]
+        right = eta_word(word[k:][::-1]).items()
+        for u, c in eta_word(word[:k - 1]).items():
+            if k % 2 == 0:
+                c = -c
+            for v, d in right:
+                terms.append((u + v + a, c * d))
+                terms.append((v + u + a, -c * d))
+    out = accumulate(terms, _g_prime_scaled(word))
     if n <= _PRIME_IMAGE_MEMO_MAX_DEGREE:
         out = _PRIME_IMAGE_MEMO[word] = shared_words(out)
     return out
 
 
+def _g_image_cleared(chain: Chain) -> tuple[dict[Word, int], int, int | None]:
+    """(integer terms, scale, q) with (degree - 1) * g(chain) = terms / scale,
+    read mod q over F_q: the one integer path of the primed class."""
+    terms, scale, q = cleared(chain.terms)
+    return linear_image(terms, _g_image_scaled), scale, q
+
+
 def g_image_key(chain: Chain) -> dict[Word, object]:
-    """The integer-scaled primed class key: (degree - 1) * g(chain) as a term
-    dict over words. Chains of one degree are equal in the primed quotient
-    exactly when their keys are equal."""
-    return linear_image(chain.terms, _g_image_scaled)
+    """(degree - 1) * g(chain) as a term dict over words, in the chain's own
+    field. Chains of one degree are equal in the primed quotient exactly when
+    their keys are equal."""
+    return divided(*_g_image_cleared(chain))
 
 
 def _tensor_image(chain: Chain, word_map) -> Chain:
@@ -284,7 +376,7 @@ def _tensor_image(chain: Chain, word_map) -> Chain:
 
 def g_prime_map(chain: Chain) -> Chain:
     """Split each word into (canonical prefix) tensor (last letter)."""
-    return _tensor_image(chain, lambda w: dict(_split(w, 1 if len(w) % 2 == 0 else -1)))
+    return _tensor_image(chain, _g_prime_scaled)
 
 
 def g_map(chain: Chain) -> Chain:
@@ -294,14 +386,16 @@ def g_map(chain: Chain) -> Chain:
 
 def canonical_prime(chain: Chain) -> PrimeCanonical:
     """Canonical key in the primed quotient: zero below degree 2, else the
-    g-image with canonicalized left factors. Applied to a tensor image it is
-    the re-attachment g_tilde into the primed quotient."""
+    g-image with canonicalized left factors, kept as integer terms over one
+    scale (see PrimeCanonical). Applied to a tensor image it is the
+    re-attachment g_tilde into the primed quotient."""
     if not chain.is_homogeneous():
         raise InputError("canonical form requires a homogeneous chain")
     degree = chain.degree()
     if degree is None or degree <= 1:
         return PrimeCanonical(degree or 0, Chain.zero(chain.p))
-    return PrimeCanonical(degree, g_map(chain))
+    terms, scale, q = _g_image_cleared(chain)
+    return PrimeCanonical._scaled(degree, chain.p, terms, scale * (degree - 1), q)
 
 
 # the re-attachment maps of the exact sequence, on an image's chain of words

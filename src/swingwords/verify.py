@@ -290,7 +290,7 @@ def suite_exactness(max_degree: int = 6, p_max: int = 3,
                 t = g_map(c)
                 ell_dies.append(canonical_l(t).is_zero())
                 section_scales.append(
-                    canonical_prime(t).image == canonical_prime(c).image.scale(n))
+                    canonical_prime(t) == canonical_prime(c.scale(n)))
                 image.insert(dict(t.terms))
             report.tally(f"ell(g(w)) = 0 [n={n}, p={p}]", "words", ell_dies)
             report.tally(f"g_tilde(g(w)) = n * class(w) [n={n}, p={p}]", "words",
