@@ -16,7 +16,7 @@ from .moves import MagmaTerm, commutator_expand, eta, fold_l, fold_prime
 from .quotients import (LieCanonical, PrimeCanonical, RelationSpan, canonical_l,
                         canonical_prime, choose_head, choose_head_by_letter,
                         ell_map, g_map, g_prime_map, g_tilde, relation_span)
-from .scalars import InputError, ModInt, ResourceLimitError
+from .scalars import InputError, ResourceLimitError
 from .textio import (parse_chain, parse_magma, parse_swingword, render_chain,
                      render_magma, render_swingword, render_tensor)
 from .trees import (JacobiTree, SwingWord, Vertebrate, as_swap, diagram_class,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSet", "Chain", "DimensionReport", "InputError", "JacobiTree",
-    "LieCanonical", "MagmaTerm", "ModInt", "Multidegree", "PrimeCanonical",
+    "LieCanonical", "MagmaTerm", "Multidegree", "PrimeCanonical",
     "RelationSpan", "Report", "ResourceLimitError", "RunPredicate", "SwingWord",
     "Vertebrate", "Word", "as_swap", "canonical_l", "canonical_prime",
     "choose_head", "choose_head_by_letter", "commutator_expand", "concat",

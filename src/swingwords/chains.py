@@ -1,8 +1,10 @@
 """Words over the alphabet 1..p and exact-coefficient formal sums of them.
 
-A Word is a tuple of letters. A Chain is a finite map word -> coefficient with
-zero coefficients pruned after every arithmetic step, so equality of chains is
-exact equality of normal forms. Chains are immutable after construction and
+A Word is a tuple of letters. A Chain is a finite map word -> coefficient over
+the field it records, `char`: None for Q (int and Fraction coefficients) or an
+odd prime q for F_q (int residues in 0..q-1). Zeros are pruned after every
+step, so equality (of alphabet, field and terms) is exact equality of normal
+forms; arithmetic that mixes two fields is refused. Chains are immutable and
 every operation is a pure function, so concurrent evaluation on independent
 inputs is safe and bit-identical to sequential evaluation.
 
@@ -10,7 +12,7 @@ inputs is safe and bit-identical to sequential evaluation.
 every linear map of the package (chain arithmetic, eta, the folds, bead
 expansion, the tensor images, tree expansion) builds its result through it.
 Those maps wrap their pruned terms over valid words with `Chain._make`, which
-skips the letter check that `Chain(p, terms)` applies to outside input. They
+skips the checks that `Chain(p, terms, char)` applies to outside input. They
 accumulate integers: coefficients are cleared to one scale on the way in and
 divided once on the way out (`scalars.cleared`, `scalars.divided`).
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import InputError
+from .scalars import InputError, check_characteristic, residue
 
 Word = tuple[int, ...]
 Multidegree = tuple[int, ...]
@@ -60,30 +62,45 @@ def accumulate(pairs: Iterable[tuple[object, object]], out: dict | None = None) 
 
 
 class Chain:
-    """A finite formal sum of words with exact field coefficients."""
+    """A finite formal sum of words with exact coefficients in Q (char None)
+    or in F_q (char q)."""
 
-    __slots__ = ("p", "terms", "_frozen")
+    __slots__ = ("p", "terms", "char", "_frozen")
 
-    def __init__(self, p: int, terms: Mapping[Word, object] | None = None):
+    def __init__(self, p: int, terms: Mapping[Word, object] | None = None,
+                 char: int | None = None):
         if p < 1:
             raise InputError(f"alphabet bound must be >= 1, got {p}")
+        if char is not None:
+            check_characteristic(char)
         self.p = p
         pruned = {}
         if terms:
             for word, coeff in terms.items():
+                coeff = coeff if char is None else residue(coeff, char)
                 if coeff:
                     pruned[check_word(word, p)] = coeff
         self.terms = pruned
+        self.char = char
         self._frozen = None
 
     @classmethod
-    def _make(cls, p: int, terms: dict[Word, object]) -> "Chain":
-        """A chain over pruned terms whose words are already valid over 1..p."""
+    def _make(cls, p: int, terms: dict[Word, object], char: int | None = None) -> "Chain":
+        """A chain over pruned terms in the field `char` whose words are already
+        valid over 1..p."""
         chain = cls.__new__(cls)
         chain.p = p
         chain.terms = terms
+        chain.char = char
         chain._frozen = None
         return chain
+
+    def _in_field(self, terms: dict[Word, object]) -> "Chain":
+        """Terms (pruned over Q, read mod q over F_q) as a chain in this field."""
+        q = self.char
+        if q is not None:
+            terms = {w: r for w, c in terms.items() if (r := c % q)}
+        return Chain._make(self.p, terms, q)
 
     @classmethod
     def zero(cls, p: int) -> "Chain":
@@ -131,30 +148,33 @@ class Chain:
             raise InputError(f"expected a Chain, got {type(other).__name__}")
         if self.p != other.p:
             raise InputError(f"mismatched alphabet bounds {self.p} and {other.p}")
+        if self.char != other.char:
+            raise InputError("mixed residue characteristics")
 
     def __add__(self, other: "Chain") -> "Chain":
         self._check_compatible(other)
-        return Chain._make(self.p, accumulate(other.terms.items(), dict(self.terms)))
+        return self._in_field(accumulate(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
     def __neg__(self) -> "Chain":
-        return Chain._make(self.p, {w: -c for w, c in self.terms.items()})
+        return self._in_field({w: -c for w, c in self.terms.items()})
 
     def scale(self, coeff) -> "Chain":
-        # an integer multiple of q scales residues to zero, so prune each term
-        return Chain._make(self.p, {w: v for w, c in self.terms.items() if (v := coeff * c)})
+        if self.char is not None:
+            coeff = residue(coeff, self.char)
+        return self._in_field({w: v for w, c in self.terms.items() if (v := coeff * c)})
 
     def __mul__(self, other: "Chain") -> "Chain":
         """Concatenation product, extended bilinearly; the empty word is 1."""
         self._check_compatible(other)
-        return Chain._make(self.p, accumulate((w1 + w2, c1 * c2)
-                                              for w1, c1 in self.terms.items()
-                                              for w2, c2 in other.terms.items()))
+        return self._in_field(accumulate((w1 + w2, c1 * c2)
+                                         for w1, c1 in self.terms.items()
+                                         for w2, c2 in other.terms.items()))
 
     def reverse(self) -> "Chain":
-        return Chain._make(self.p, {w[::-1]: c for w, c in self.terms.items()})
+        return Chain._make(self.p, {w[::-1]: c for w, c in self.terms.items()}, self.char)
 
     def coefficient(self, word: Iterable[int]):
         return self.terms.get(tuple(word), 0)
@@ -162,15 +182,16 @@ class Chain:
     def __eq__(self, other):
         if not isinstance(other, Chain):
             return NotImplemented
-        return self.p == other.p and self.terms == other.terms
+        return self.p == other.p and self.char == other.char and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.p, self.frozen()))
+        return hash((self.p, self.char, self.frozen()))
 
     def __repr__(self):
         from .textio import render_chain
 
-        return f"Chain({self.p}, {render_chain(self)!r})"
+        field = "" if self.char is None else f", char={self.char}"
+        return f"Chain({self.p}, {render_chain(self)!r}{field})"
 
 
 def concat(a: Chain, b: Chain) -> Chain:

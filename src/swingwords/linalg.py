@@ -62,7 +62,7 @@ class RowSpace:
     def _reduced(self, row: dict) -> tuple[dict, int]:
         """(integer row, scale) whose quotient is the normal form of the input;
         over F_q the row of residues and scale 1."""
-        row, scale, _ = cleared(row, self.char)
+        row, scale = cleared(row, self.char)
         pivots = self.pivots
         for col in [c for c in row if c in pivots]:
             scale *= self._clear(row, col, pivots[col])
@@ -70,7 +70,7 @@ class RowSpace:
 
     def reduce(self, row: dict) -> dict:
         """Normal form of a row modulo the stored space."""
-        return divided(*self._reduced(row))
+        return divided(*self._reduced(row), self.char)
 
     def contains(self, row: dict) -> bool:
         return not self._reduced(row)[0]
@@ -89,8 +89,7 @@ class RowSpace:
             if g != 1:
                 new = {c: v // g for c, v in new.items()}
         else:
-            inv = pow(new[col], char - 2, char)
-            new = {c: v * inv % char for c, v in new.items()}
+            new = divided(new, new[col], char)
         # back-eliminate the new pivot column from existing rows
         for other in self.pivots.values():
             if col in other:
@@ -105,7 +104,7 @@ class RowSpace:
 
     def rows(self) -> list[dict]:
         """The reduced echelon basis, ordered by pivot column."""
-        return [divided(dict(self.pivots[c]), self.pivots[c][c])
+        return [divided(dict(self.pivots[c]), self.pivots[c][c], self.char)
                 for c in sorted(self.pivots)]
 
     def __eq__(self, other):

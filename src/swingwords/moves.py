@@ -58,9 +58,10 @@ def linear_image(terms: dict[Word, int], word_map) -> dict[Word, int]:
 
 
 def linear_extension(chain: Chain, word_map, divisor: int = 1) -> Chain:
-    """The image of a chain under an integer word map, over `divisor`."""
-    terms, scale, q = cleared(chain.terms)
-    return Chain._make(chain.p, divided(linear_image(terms, word_map), scale * divisor, q))
+    """The image of a chain under an integer word map, over `divisor`, in its field."""
+    q = chain.char
+    terms, scale = cleared(chain.terms, q)
+    return Chain._make(chain.p, divided(linear_image(terms, word_map), scale * divisor, q), q)
 
 
 def eta(chain: Chain) -> Chain:

@@ -37,6 +37,7 @@ fallback reads residues on entry to the row reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Iterable, Literal
@@ -45,8 +46,7 @@ from .chains import Chain, Multidegree, Word, accumulate, word_multidegree
 from .linalg import RowSpace
 from .moves import (eta, eta_word, fold_l, fold_l_word, fold_prime_word, linear_extension,
                     linear_image, shared_words)
-from .scalars import (InputError, ResourceLimitError, check_characteristic, cleared, divided,
-                      invert_integer)
+from .scalars import InputError, ResourceLimitError, check_characteristic, cleared, divided
 
 Family = Literal["l", "prime"]
 
@@ -97,7 +97,7 @@ class PrimeCanonical:
     __slots__ = ("degree", "p", "_terms", "_scale", "_q", "_image")
 
     def __init__(self, degree: int, image: Chain):
-        self._set(degree, image.p, *cleared(image.terms))
+        self._set(degree, image.p, *cleared(image.terms, image.char), image.char)
         self._image = image
 
     @classmethod
@@ -112,9 +112,7 @@ class PrimeCanonical:
     def _set(self, degree: int, p: int, terms: dict[Word, int], scale: int,
              q: int | None) -> None:
         if q is not None:
-            inverse = invert_integer(scale, q).value
-            terms = {w: r for w, v in terms.items() if (r := v * inverse % q)}
-            scale = 1
+            terms, scale = divided(terms, scale, q), 1
         elif (common := gcd(scale, *terms.values())) != 1:
             terms = {w: v // common for w, v in terms.items()}
             scale //= common
@@ -123,7 +121,7 @@ class PrimeCanonical:
     @property
     def image(self) -> Chain:
         if self._image is None:
-            self._image = Chain._make(self.p, divided(self._terms, self._scale, self._q))
+            self._image = Chain._make(self.p, divided(self._terms, self._scale, self._q), self._q)
         return self._image
 
     def is_zero(self) -> bool:
@@ -202,22 +200,22 @@ class RelationSpan:
         return self.p ** self.degree - self.rank
 
     def basis_chains(self) -> list[Chain]:
-        """The reduced relation basis as chains, in a deterministic order."""
-        chains = []
-        for md in sorted(self.blocks):
-            for row in self.blocks[md].rows():
-                chains.append(Chain(self.p, row))
-        return chains
+        """The reduced relation basis as chains over the span's field, in a
+        deterministic order."""
+        return [Chain._make(self.p, row, self.char)
+                for md in sorted(self.blocks) for row in self.blocks[md].rows()]
 
     def reduce(self, chain: Chain) -> Chain:
         """Normal form of a degree-homogeneous chain modulo the relations,
         over the chain's own alphabet (the moves keep each word's letters).
 
-        Over F_q every kind of coefficient is read as its residue mod q
-        (`scalars.cleared`), and the normal form has integer residues.
+        A span over F_q reads a rational chain as its residues mod q
+        (`scalars.cleared`), and the normal form is a chain over F_q.
         """
+        if chain.char is not None and chain.char != self.char:
+            raise InputError("mixed residue characteristics")
         if chain.is_zero():
-            return chain
+            return Chain._make(chain.p, {}, self.char)
         if chain.degree() != self.degree:
             raise InputError("chain degree does not match the relation span")
         if chain.p > self.p:
@@ -231,7 +229,7 @@ class RelationSpan:
         out: dict[Word, object] = {}
         for md, row in per_md.items():
             out.update(self.blocks[md].reduce(row))
-        return Chain(chain.p, out)
+        return Chain._make(chain.p, out, self.char)
 
     def contains(self, chain: Chain) -> bool:
         return self.reduce(chain).is_zero()
@@ -275,23 +273,26 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
 
     In characteristic zero (and whenever the characteristic does not divide the
     degree) this applies the idempotent projector; otherwise it falls back to
-    normal-form reduction against the relation span and flags the result.
-    Applied to a tensor image it is the re-attachment ell.
+    normal-form reduction against the relation span and flags the result. The
+    result lies over F_char, else over the chain's field; a rational chain is
+    read mod char after eta. Applied to a tensor image it is the re-attachment ell.
     """
     if not chain.is_homogeneous():
         raise InputError("canonical form requires a homogeneous chain")
+    q = chain.char if char is None else char
+    if chain.char not in (None, q):
+        raise InputError("mixed residue characteristics")
     degree = chain.degree()
     if degree is None or degree == 0:
-        return LieCanonical(degree or 0, chain)
+        return LieCanonical(degree or 0, Chain(chain.p, chain.terms, q))
     if char is not None and degree % char == 0:
         span = relation_span(degree, chain.p, "l", char)
         return LieCanonical(degree, span.reduce(chain), method="span")
     signed = degree if (degree - 1) % 2 == 0 else -degree
-    if char is None:
+    if q == chain.char:
         return LieCanonical(degree, linear_extension(chain, eta_word, signed))
-    # eta in the chain's own field, read mod char term by term
-    image, _, q = cleared(eta(chain).terms, char)
-    return LieCanonical(degree, Chain._make(chain.p, divided(image, signed, q)))
+    # a rational chain: eta over Q, read mod q, then the projector's 1/n
+    return LieCanonical(degree, Chain(chain.p, eta(chain).terms, q).scale(Fraction(1, signed)))
 
 
 def _g_prime_scaled(word: Word) -> dict[Word, int]:
@@ -350,10 +351,10 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
 
 
 def _g_image_cleared(chain: Chain) -> tuple[dict[Word, int], int, int | None]:
-    """(integer terms, scale, q) with (degree - 1) * g(chain) = terms / scale,
-    read mod q over F_q: the one integer path of the primed class."""
-    terms, scale, q = cleared(chain.terms)
-    return linear_image(terms, _g_image_scaled), scale, q
+    """(integer terms, scale, q) with (degree - 1) * g(chain) = terms / scale
+    over the chain's field F_q or Q: the one integer path of the primed class."""
+    terms, scale = cleared(chain.terms, chain.char)
+    return linear_image(terms, _g_image_scaled), scale, chain.char
 
 
 def g_image_key(chain: Chain) -> dict[Word, object]:
@@ -393,7 +394,7 @@ def canonical_prime(chain: Chain) -> PrimeCanonical:
         raise InputError("canonical form requires a homogeneous chain")
     degree = chain.degree()
     if degree is None or degree <= 1:
-        return PrimeCanonical(degree or 0, Chain.zero(chain.p))
+        return PrimeCanonical(degree or 0, Chain._make(chain.p, {}, chain.char))
     terms, scale, q = _g_image_cleared(chain)
     return PrimeCanonical._scaled(degree, chain.p, terms, scale * (degree - 1), q)
 

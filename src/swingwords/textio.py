@@ -17,7 +17,7 @@ import re
 
 from .chains import Chain, Word, accumulate
 from .moves import MagmaTerm
-from .scalars import InputError, ModInt, make_coefficient
+from .scalars import InputError, make_coefficient
 
 
 class ChainSyntaxError(InputError):
@@ -84,7 +84,7 @@ def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
         accumulate([(word, coeff if sign == 1 else -coeff)], terms)
         tok = tokens.peek()
         if tok is None:
-            return Chain(p, terms)
+            return Chain(p, terms, char)
         if tok not in "+-":
             raise ChainSyntaxError(f"expected '+' or '-', got {tok!r}", tokens.pos)
         sign = 1 if tokens.next() == "+" else -1
@@ -92,7 +92,7 @@ def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
 
 def _parse_term(tokens: _Tokens, p: int, char: int | None):
     if tokens.peek() == "[":
-        return _parse_word(tokens, p), make_coefficient(1, char=char)
+        return _parse_word(tokens, p), 1
     coeff = _parse_coeff(tokens, char)
     return (_parse_word(tokens, p) if tokens.accept("*") else ()), coeff
 
@@ -128,9 +128,8 @@ def _signed_sum(terms) -> str:
     attached and later ones spaced; '0' when there are no terms."""
     pieces = []
     for coeff, suffix in terms:
-        negative = not isinstance(coeff, ModInt) and coeff < 0
-        sign = ("- " if negative else "+ ") if pieces else ("-" if negative else "")
-        pieces.append(sign + str(-coeff if negative else coeff) + suffix)
+        sign = ("- " if coeff < 0 else "+ ") if pieces else ("-" if coeff < 0 else "")
+        pieces.append(sign + str(abs(coeff)) + suffix)
     return " ".join(pieces) or "0"
 
 

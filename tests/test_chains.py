@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +63,36 @@ def test_multidegree():
     assert Chain(3, {(1, 2, 1): 5}).multidegree() == (2, 1, 0)
     with pytest.raises(InputError):
         Chain(2, {(1, 2): 1, (1, 1): 1}).multidegree()
+
+
+def test_residue_chain_field_ops():
+    a = Chain(1, {(1,): 3}, 5)
+    b = Chain(1, {(1,): 4}, 5)
+    assert a + b == Chain(1, {(1,): 2}, 5)
+    assert a - b == Chain(1, {(1,): 4}, 5)
+    assert a * b == Chain(1, {(1, 1): 2}, 5)
+    # dividing by 4 is multiplying by its inverse 4 mod 5
+    assert a.scale(Fraction(1, 4)) == a.scale(4)
+    assert a.scale(Fraction(1, 4)).scale(4) == a
+    assert -a == Chain(1, {(1,): 2}, 5)
+    assert Chain(1, {(1,): 5}, 5).is_zero()
+    assert (a + a.scale(4)).is_zero() and not (a + a.scale(4)).terms
+
+
+def test_residue_chain_reads_ints_and_fractions():
+    a = Chain(1, {(1,): 2}, 7)
+    assert a + Chain(1, {(1,): 6}, 7) == Chain(1, {(1,): 1}, 7)
+    assert a.scale(3) == Chain(1, {(1,): 6}, 7)
+    assert a.scale(Fraction(1, 2)) == Chain(1, {(1,): 1}, 7)
+    assert Chain(1, {(1,): Fraction(1, 2), (1, 1): -5}, 7).terms == {(1,): 4, (1, 1): 2}
+
+
+def test_residue_chains_reject_cross_characteristic():
+    f5, f7, rational = Chain(1, {(1,): 1}, 5), Chain(1, {(1,): 1}, 7), Chain(1, {(1,): 1})
+    for a, b in ((f5, f7), (f5, rational), (rational, f7)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(InputError, match="mixed residue characteristics"):
+                op(a, b)
 
 
 def test_letter_bounds():

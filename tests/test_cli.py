@@ -196,7 +196,8 @@ def test_residue_mode_chain(capsys):
 
 def test_span_fallback_takes_residue_chains(capsys):
     # 3 divides the degree, so canonical_l reduces against the relation span;
-    # the CLI parses ModInt coefficients, the library call below uses ints
+    # the CLI parses residue coefficients; the library call below passes a
+    # rational chain, which the span reads mod 3
     code, out, _ = run(capsys, "reduce", "--space", "l", "--char", "3", "-p", "2",
                        "--chain", "[1,2,1,2,1,2]")
     assert (code, out) == (0, "2*[2,1,2,1,1,2]\n")

@@ -1,12 +1,12 @@
-"""The word maps on integer terms against their termwise Fraction/ModInt form.
+"""The word maps on integer terms against their termwise coefficient form.
 
 The package clears a chain's coefficients to integers over one scale, runs the
 word maps on integers and divides once at the output (`scalars.cleared`,
 `scalars.divided`). The reference below is the earlier implementation, which
-multiplied every word-map term by the chain's own coefficient (an int, a
-Fraction or a ModInt) and scaled the result by 1/n or 1/(n - 1) in the
-coefficient field. Both must give the same chains, the same coefficient kinds,
-the same rendered text and the same exceptions.
+multiplied every word-map term by the chain's own coefficient (an int or a
+Fraction over Q, a residue over F_q) and scaled the result by 1/n or 1/(n - 1)
+in the chain's field. Both must give the same chains over the same field, the
+same rendered text and the same exceptions.
 """
 
 import random
@@ -18,7 +18,7 @@ from swingwords.chains import Chain, accumulate
 from swingwords.moves import eta, eta_word, fold_l, fold_l_word, fold_prime, fold_prime_word
 from swingwords.quotients import (LieCanonical, PrimeCanonical, canonical_l, canonical_prime,
                                   g_map, g_prime_map, relation_span)
-from swingwords.scalars import InputError, ModInt, cleared, divided
+from swingwords.scalars import InputError, cleared, divided
 from swingwords.textio import render_chain
 
 PRIMES = (3, 5, 7)
@@ -29,7 +29,7 @@ KINDS = ("int", "fraction") + tuple(f"mod{q}" for q in PRIMES)
 
 def _ref_extension(chain, word_map):
     return Chain(chain.p, accumulate((w, coeff * c) for word, coeff in chain.terms.items()
-                                     for w, c in word_map(word).items()))
+                                     for w, c in word_map(word).items()), chain.char)
 
 
 def ref_eta(chain):
@@ -49,13 +49,14 @@ def ref_canonical_l(chain, char=None):
     if degree is None or degree == 0:
         return LieCanonical(degree or 0, chain)
     if char is not None and degree % char == 0:
-        residues = {w: c if isinstance(c, int) else (ModInt(0, char) + c).value
-                    for w, c in chain.terms.items()}
         span = relation_span(degree, chain.p, "l", char)
-        return LieCanonical(degree, span.reduce(Chain(chain.p, residues)), method="span")
+        return LieCanonical(degree, span.reduce(Chain(chain.p, chain.terms, char)),
+                            method="span")
     signed = degree if (degree - 1) % 2 == 0 else -degree
-    scale = Fraction(1, signed) if char is None else ModInt(1, char) / ModInt(signed, char)
-    return LieCanonical(degree, ref_eta(chain).scale(scale))
+    image = ref_eta(chain)
+    if char is not None:
+        image = Chain(chain.p, image.terms, char)
+    return LieCanonical(degree, image.scale(Fraction(1, signed)))
 
 
 def _ref_split(word, coeff):
@@ -78,7 +79,7 @@ def _ref_split_scale(chain):
         raise InputError("the zero chain has no well-defined degree")
     if degree < 2:
         raise InputError("the tensor image requires degree >= 2")
-    return degree, next(iter(chain.terms.values())) * 0 + Fraction(1, degree - 1)
+    return degree, Fraction(1, degree - 1)
 
 
 def ref_g_prime_map(chain):
@@ -87,7 +88,7 @@ def ref_g_prime_map(chain):
     out = {}
     for word, coeff in chain.terms.items():
         accumulate(_ref_split(word, sign * coeff), out)
-    return Chain(chain.p, {k: v * scale for k, v in out.items()})
+    return Chain(chain.p, out, chain.char).scale(scale)
 
 
 def ref_g_map(chain):
@@ -95,13 +96,13 @@ def ref_g_map(chain):
     out = {}
     for word, coeff in chain.terms.items():
         accumulate(((k, coeff * c) for k, c in _ref_g_image_scaled(word).items()), out)
-    return Chain(chain.p, {k: v * scale for k, v in out.items()})
+    return Chain(chain.p, out, chain.char).scale(scale)
 
 
 def ref_canonical_prime(chain):
     degree = chain.degree()
     if degree is None or degree <= 1:
-        return PrimeCanonical(degree or 0, Chain.zero(chain.p))
+        return PrimeCanonical(degree or 0, Chain(chain.p, {}, chain.char))
     return PrimeCanonical(degree, ref_g_map(chain))
 
 
@@ -113,7 +114,7 @@ def _coefficient(kind, rng):
         return value
     if kind == "fraction":
         return Fraction(value, rng.choice((1, 2, 3, 5, 6, 7)))
-    return ModInt(value, int(kind[3:]))
+    return value
 
 
 def _chain(rng, kind, degree, p):
@@ -121,7 +122,7 @@ def _chain(rng, kind, degree, p):
     for _ in range(rng.randint(1, 4)):
         word = tuple(rng.randint(1, p) for _ in range(degree))
         terms[word] = _coefficient(kind, rng)
-    return Chain(p, terms)
+    return Chain(p, terms, int(kind[3:]) if kind.startswith("mod") else None)
 
 
 def _outcome(fn, *args):
@@ -133,8 +134,10 @@ def _outcome(fn, *args):
 
 
 def _shape(chain):
-    """A chain's terms with each coefficient's kind: residue or rational."""
-    return {w: (type(c) is ModInt, c) for w, c in chain.terms.items()}
+    """A chain's field and terms; a residue lies in 1..q-1."""
+    q = chain.char
+    assert q is None or all(type(c) is int and 0 < c < q for c in chain.terms.values())
+    return q, chain.terms
 
 
 def _assert_same(new, ref, label):
@@ -225,24 +228,25 @@ def test_residue_projector_refuses_every_nonzero_chain_when_q_divides_the_degree
     # the chain [1,1,1] has eta = 0 and is refused like any other
     for word in ((1, 1, 1), (1, 2, 2)):
         with pytest.raises(ZeroDivisionError, match="division by zero mod 3"):
-            canonical_l(Chain(2, {word: ModInt(1, 3)}))
-    assert canonical_l(Chain(2, {(1, 1, 1): ModInt(1, 3)}), 3).is_zero()
+            canonical_l(Chain(2, {word: 1}, 3))
+    assert canonical_l(Chain(2, {(1, 1, 1): 1}, 3), 3).is_zero()
 
 
 def test_cleared_and_divided_are_inverse():
     terms = {(1,): Fraction(1, 2), (2,): Fraction(-2, 3), (1, 2): 4, (2, 2): 0}
-    ints, scale, q = cleared(terms)
-    assert (ints, scale, q) == ({(1,): 3, (2,): -4, (1, 2): 24}, 6, None)
+    ints, scale = cleared(terms)
+    assert (ints, scale) == ({(1,): 3, (2,): -4, (1, 2): 24}, 6)
     back = divided(ints, scale)
     assert back == {k: v for k, v in terms.items() if v}
     assert isinstance(back[(1, 2)], int)
-    residues, scale, q = cleared({(1,): ModInt(4, 5), (2,): ModInt(0, 5)})
-    assert (residues, scale, q) == ({(1,): 4}, 1, 5)
-    assert cleared({(1,): Fraction(1, 2), (2,): 5}, 5) == ({(1,): 3}, 1, 5)
-    assert divided({(1,): 8, (2,): 10}, 4, 5) == {(1,): ModInt(2, 5)}
+    assert cleared({(1,): 4, (2,): 0, (3,): 10}, 5) == ({(1,): 4}, 1)
+    assert cleared({(1,): Fraction(1, 2), (2,): 5}, 5) == ({(1,): 3}, 1)
+    residues = divided({(1,): 8, (2,): 10}, 4, 5)
+    assert residues == {(1,): 2} and type(residues[(1,)]) is int
     with pytest.raises(ZeroDivisionError, match="division by zero mod 5"):
         divided({}, 10, 5)
     with pytest.raises(ZeroDivisionError, match="division by zero mod 3"):
         cleared({(1,): Fraction(1, 3)}, 3)
+    # the field comes from the chain: a residue chain refuses a second field
     with pytest.raises(InputError, match="mixed residue characteristics"):
-        cleared({(1,): ModInt(1, 5)}, 3)
+        canonical_l(Chain(1, {(1,): 1}, 5), 3)

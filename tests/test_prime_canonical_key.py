@@ -18,7 +18,6 @@ from hypothesis import given, strategies as st
 from swingwords.chains import Chain, accumulate
 from swingwords.moves import eta_word, fold_l_word, fold_prime, linear_extension
 from swingwords.quotients import PrimeCanonical, canonical_prime, g_image_key
-from swingwords.scalars import ModInt
 from swingwords.textio import render_chain, render_tensor
 
 FIELDS = (None, 5, 7)
@@ -43,12 +42,12 @@ def ref_image(chain):
 
 
 def _kinds(chain):
-    return {w: type(c) for w, c in chain.terms.items()}
+    return chain.char, {w: type(c) for w, c in chain.terms.items()}
 
 
 def _coefficient(q, numerator, denominator):
     if q is not None:
-        return ModInt(numerator, q)
+        return numerator
     return Fraction(numerator, denominator) if denominator > 1 else numerator
 
 
@@ -62,7 +61,7 @@ def chains(draw, fields=FIELDS, degrees=(2, 7)):
     for w in words:
         numerator = draw(st.integers(-7, 7).filter(bool))
         terms[w] = _coefficient(q, numerator, draw(st.integers(1, 6)))
-    return q, Chain(p, terms)
+    return q, Chain(p, terms, q)
 
 
 def _refused(q, chain):
@@ -99,8 +98,8 @@ def test_image_renders_as_before_with_the_same_coefficient_types(case):
 @given(chains(fields=(None,)), st.sampled_from((5, 7)))
 def test_rational_and_residue_keys_differ_unless_both_are_zero(case, q):
     _, chain = case
-    residues = Chain(chain.p, {w: ModInt(0, q) + c for w, c in chain.terms.items()
-                               if Fraction(c).denominator % q})
+    residues = Chain(chain.p, {w: c for w, c in chain.terms.items()
+                               if Fraction(c).denominator % q}, q)
     if chain.is_zero() or residues.is_zero() or _refused(q, residues):
         return
     rational, residue = canonical_prime(chain), canonical_prime(residues)
@@ -120,7 +119,7 @@ def test_zero_classes_are_equal_across_degree_alphabet_and_field(case, k):
     zero = canonical_prime(relation)
     others = [PrimeCanonical(5, Chain.zero(3)), canonical_prime(Chain.zero(2)),
               canonical_prime(Chain.of_word(1, (1,))),
-              canonical_prime(Chain(2, {(1, 2, 1): ModInt(3, 7)}))]
+              canonical_prime(Chain(2, {(1, 2, 1): 3}, 7))]
     assert zero.is_zero() and all(z.is_zero() for z in others)
     assert all(zero == z and hash(zero) == hash(z) for z in others)
 
@@ -128,7 +127,7 @@ def test_zero_classes_are_equal_across_degree_alphabet_and_field(case, k):
 @pytest.mark.parametrize("q, word", [(3, (1, 1, 1, 1)), (3, (2, 1, 1, 2)), (5, (1,) * 6),
                                      (5, (1, 2, 1, 2, 2, 1))])
 def test_residue_chain_with_q_dividing_n_minus_one_is_refused_whatever_its_image(q, word):
-    one = Chain(2, {word: ModInt(1, q)})
+    one = Chain(2, {word: 1}, q)
     relation = one - fold_prime(2, one)
     assert not relation.is_zero()
     for chain in (one, relation):

@@ -138,7 +138,7 @@ def test_relation_span_matches_all_index_construction(family, char):
         blocks = _all_index_blocks(degree, p, family, char)
         assert span.blocks == blocks, (degree, p)
         assert span.rank == sum(block.rank for block in blocks.values())
-        expected = [Chain(p, row) for md in sorted(blocks) for row in blocks[md].rows()]
+        expected = [Chain(p, row, char) for md in sorted(blocks) for row in blocks[md].rows()]
         assert span.basis_chains() == expected, (degree, p)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from swingwords.chains import Chain
 from swingwords.quotients import canonical_prime
-from swingwords.scalars import InputError, ModInt
+from swingwords.scalars import InputError
 from swingwords.textio import (ChainSyntaxError, parse_chain, parse_magma,
                                parse_swingword, render_chain, render_magma,
                                render_swingword, render_tensor)
@@ -46,8 +46,10 @@ def test_parse_syntax_error_position():
 
 
 def test_parse_residue_mode():
-    c = parse_chain("1/2*[1]", 2, char=5)
-    assert c.terms[(1,)] == ModInt(3, 5)
+    c = parse_chain("1/2*[1] - 4*[2]", 2, char=5)
+    assert c == Chain(2, {(1,): 3, (2,): 1}, 5)
+    assert c.char == 5 and c.terms == {(1,): 3, (2,): 1}
+    assert render_chain(c) == "3*[1] + 1*[2]"
 
 
 def test_render_canonical_forms():
