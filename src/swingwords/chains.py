@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import InputError, check_characteristic, residue
+from .scalars import InputError, check_characteristic, field_coefficient
 
 Word = tuple[int, ...]
 Multidegree = tuple[int, ...]
@@ -77,7 +77,7 @@ class Chain:
         pruned = {}
         if terms:
             for word, coeff in terms.items():
-                coeff = coeff if char is None else residue(coeff, char)
+                coeff = field_coefficient(coeff, char)
                 if coeff:
                     pruned[check_word(word, p)] = coeff
         self.terms = pruned
@@ -162,8 +162,7 @@ class Chain:
         return self._in_field({w: -c for w, c in self.terms.items()})
 
     def scale(self, coeff) -> "Chain":
-        if self.char is not None:
-            coeff = residue(coeff, self.char)
+        coeff = field_coefficient(coeff, self.char)
         return self._in_field({w: v for w, c in self.terms.items() if (v := coeff * c)})
 
     def __mul__(self, other: "Chain") -> "Chain":

@@ -26,19 +26,43 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because it exceeds the configured size bound."""
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# PRIMALITY_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin; q >= PRIMALITY_BOUND is refused."""
+    if q >= PRIMALITY_BOUND:
+        raise InputError(f"{q} is too large: primality is decided exactly only "
+                         f"below {PRIMALITY_BOUND}")
     if q < 2:
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    for a in PRIME_BASES:
+        if q % a == 0:
+            return q == a
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def check_characteristic(q: int) -> int:
     """Validate a residue-field characteristic: an odd prime (2 is rejected)."""
+    if type(q) is not int:
+        raise InputError(f"characteristic must be an integer, got {q!r}")
     if q == 2:
         raise InputError("characteristic 2 is not supported")
     if not is_prime(q):
@@ -68,6 +92,14 @@ def invert_integer(n: int, char: int | None = None):
     if n % char == 0:
         raise ZeroDivisionError(f"division by zero mod {char}")
     return pow(n, -1, char)
+
+
+def field_coefficient(coeff, char: int | None = None):
+    """An exact coefficient read in the field: itself over Q, its residue over
+    F_q. Anything but an int or a Fraction is refused."""
+    if type(coeff) is not int and type(coeff) is not Fraction:
+        raise InputError(f"coefficient {coeff!r} is not an int or a Fraction")
+    return coeff if char is None else residue(coeff, char)
 
 
 def residue(coeff, q: int) -> int:

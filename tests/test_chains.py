@@ -1,10 +1,14 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from swingwords.chains import Chain, concat, reverse
+from swingwords.moves import fold_l, fold_prime
+from swingwords.quotients import canonical_l, canonical_prime
 from swingwords.scalars import InputError
+from swingwords.textio import parse_chain
 
 words = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=5).map(tuple)
 coeffs = st.integers(min_value=-4, max_value=4)
@@ -93,6 +97,64 @@ def test_residue_chains_reject_cross_characteristic():
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
             with pytest.raises(InputError, match="mixed residue characteristics"):
                 op(a, b)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, True, "1", Decimal("0.5"), None])
+def test_inexact_or_non_numeric_coefficients_refused(coeff):
+    for char in (None, 5):
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            Chain(2, {(1, 2): coeff}, char)
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            Chain(2, {(1, 2): 1}, char).scale(coeff)
+
+
+def test_parsed_residue_chain_differs_from_its_rational_lift():
+    residue, rational = parse_chain("2*[1,2]", 2, 5), Chain(2, {(1, 2): 2})
+    assert residue != rational and len({residue, rational}) == 2
+    same = Chain(2, {(1, 2): 7}, 5)
+    assert residue == same and hash(residue) == hash(same)
+
+
+FIELDS = (None, 5, 7)
+
+
+@st.composite
+def term_dicts(draw):
+    degree = draw(st.integers(1, 5))
+    word = st.tuples(*[st.integers(1, 2)] * degree)
+    return draw(st.dictionaries(word, st.integers(-9, 9), min_size=1, max_size=3))
+
+
+def _assert_hash_contract(values):
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+@given(term_dicts(), st.integers(2, 5))
+def test_equal_chains_and_classes_hash_equally_over_every_field(terms, k):
+    # 35 is zero mod 5 and mod 7, so each residue chain appears twice
+    chains = [Chain(2, terms, q) for q in FIELDS]
+    chains += [Chain(2, {w: c + 35 for w, c in terms.items()}, q) for q in FIELDS]
+    _assert_hash_contract(chains)
+    assert all(a.char == b.char for a in chains for b in chains if a == b)
+    classes = []
+    for chain in chains:
+        q = chain.char
+        lie = canonical_l(chain, q)
+        assert lie == canonical_l(fold_l(k, chain), q)
+        if q is not None:
+            assert lie == canonical_l(Chain(2, terms), q)
+            assert lie.chain.char == q
+        classes += [lie, canonical_l(fold_l(k, chain), q)]
+        try:
+            prime = canonical_prime(chain)
+        except ZeroDivisionError:  # q divides n - 1
+            continue
+        assert prime == canonical_prime(fold_prime(k, chain))
+        classes += [prime, canonical_prime(fold_prime(k, chain))]
+    _assert_hash_contract(classes)
 
 
 def test_letter_bounds():

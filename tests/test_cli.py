@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -178,6 +179,33 @@ def test_coefficient_denominator_divisible_by_char_exits_two(capsys):
     assert (code, out) == (2, "")
     assert "denominator 3" in err and "characteristic 3" in err
     assert "scale this computation inverts" not in err
+
+
+@pytest.mark.parametrize("char, reason", [
+    ("561", "odd prime"), ("2047", "odd prime"), ("3215031751", "odd prime"),
+    ("1000000000000000001", "odd prime"), ("618970019642690137449562111", "decided exactly"),
+])
+def test_composite_or_undecided_char_exits_two(capsys, char, reason):
+    code, out, err = run(capsys, "eta", "--chain", "[1,2]", "-p", "2", "--char", char)
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
+def test_large_prime_char_is_checked_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eta", "--chain", "[1,2]", "-p", "2",
+                       "--char", "1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "1000000000000000002*[1,2] + 1*[2,1]\n")
+
+
+@pytest.mark.parametrize("argv", [("dims", "witt", "--n", "5000", "--p", "9"),
+                                  ("dims", "necklace", "--multidegree", "8000,8000")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dims_value_too_long_to_print_exits_two(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "decimal digits, too many to print" in err
 
 
 def test_char_two_rejected(capsys):
