@@ -128,8 +128,9 @@ def _signed_sum(terms) -> str:
     attached and later ones spaced; '0' when there are no terms."""
     pieces = []
     for coeff, suffix in terms:
-        sign = ("- " if coeff < 0 else "+ ") if pieces else ("-" if coeff < 0 else "")
-        pieces.append(sign + str(abs(coeff)) + suffix)
+        negative = coeff < 0
+        sign = ("- " if negative else "+ ") if pieces else ("-" if negative else "")
+        pieces.append(sign + str(-coeff if negative else coeff) + suffix)
     return " ".join(pieces) or "0"
 
 
