@@ -183,14 +183,8 @@ def _run(args) -> int:
         report = dimension_report(args.kind, n=args.n, p=args.p, multidegree=md,
                                   oracle=args.oracle, char=args.char,
                                   max_words=args.max_words)
-        try:
-            value = str(report.value)
-        except ValueError as exc:  # past the interpreter's int-to-text digit limit
-            raise ResourceLimitError(
-                f"{report.query} has more than {sys.get_int_max_str_digits()} "
-                "decimal digits, too many to print") from exc
         _emit(report.to_dict(), args.format,
-              [f"{report.query} = {value}" +
+              [f"{report.query} = {report.value}" +
                (f"  [{report.method}]" if report.method != "formula" else "")])
         return 0
 

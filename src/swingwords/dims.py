@@ -6,30 +6,50 @@ formula is checked to be exact rather than truncated.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from math import factorial, gcd
+from math import comb, gcd
 
 from .chains import Multidegree
 from .quotients import Family, relation_span
-from .scalars import InputError
+from .scalars import InputError, ResourceLimitError
+
+# `dimension_report` refuses a total degree above this before any work; with
+# p >= 2 every value past the interpreter's print limit comes far below it
+MAX_DEGREE = 10**6
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by trial division up to sqrt(n)."""
+    factors: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            factors[q] = factors.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def mobius(d: int) -> int:
     """1 on 1, (-1)^k on squarefree products of k primes, 0 otherwise."""
     if d < 1:
         raise InputError(f"mobius is defined on positive integers, got {d}")
-    result = 1
-    q = 2
-    while q * q <= d:
-        if d % q == 0:
-            d //= q
-            if d % q == 0:
-                return 0
-            result = -result
-        q += 1
-    if d > 1:
-        result = -result
-    return result
+    factors = _prime_factors(d)
+    if any(e > 1 for e in factors.values()):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def _moebius_divisors(n: int) -> list[tuple[int, int]]:
+    """(d, mobius(d)) for the squarefree divisors d of n, the only divisors
+    with a nonzero Moebius value: 2^k pairs for n with k prime factors."""
+    pairs = [(1, 1)]
+    for q in _prime_factors(n):
+        pairs += [(d * q, -mu) for d, mu in pairs]
+    return pairs
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -44,8 +64,17 @@ def witt_total(n: int, p: int) -> int:
     letters: (1/n) * sum over d | n of mobius(d) * p^(n/d)."""
     if n < 1 or p < 1:
         raise InputError("witt_total needs n >= 1 and p >= 1")
-    total = sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    total = sum(mu * p ** (n // d) for d, mu in _moebius_divisors(n))
     return _exact_div(total, n)
+
+
+def _multinomial(parts) -> int:
+    """(sum of parts)! / prod(part!), as a product of binomials."""
+    total, result = 0, 1
+    for x in sorted(parts, reverse=True):
+        total += x
+        result *= comb(total, x)
+    return result
 
 
 def _check_multidegree(m) -> Multidegree:
@@ -61,22 +90,9 @@ def witt_multidegree(m) -> int:
     """The necklace number: dimension of the multidegree-m piece of the free
     Lie algebra; summed over all multidegrees of total n it gives witt_total."""
     md = _check_multidegree(m)
-    n = sum(md)
-    g = 0
-    for x in md:
-        g = gcd(g, x)
-    total = 0
-    for d in range(1, g + 1):
-        if g % d:
-            continue
-        mu = mobius(d)
-        if not mu:
-            continue
-        term = factorial(n // d)
-        for x in md:
-            term //= factorial(x // d)
-        total += mu * term
-    return _exact_div(total, n)
+    total = sum(mu * _multinomial(x // d for x in md)
+                for d, mu in _moebius_divisors(gcd(*md)))
+    return _exact_div(total, sum(md))
 
 
 def h_dim_total(n: int, p: int) -> int:
@@ -129,52 +145,94 @@ class DimensionReport:
         return record
 
 
+def _too_long(query: str, limit: int) -> ResourceLimitError:
+    return ResourceLimitError(f"{query} has more than {limit} decimal digits, too many to print")
+
+
+def _refuse_before(query: str, n: int, low_bits: int) -> None:
+    """Refuse a query of total degree n past MAX_DEGREE, or one whose value
+    is at least 2^low_bits / (2n^2) and so surely past the interpreter's
+    limit on printed digits, before any of its work is done.
+
+    The callers' low_bits give that bound. Over p >= 2 letters, n*W(n, p) and
+    n(n-1)*h(n, p) are p^n plus terms of total size at most 2n^2 p^((n+1)/2),
+    so both values are at least p^n / (2n^2) once p^((n-1)/2) >= 4n^2; and
+    p^n >= 2^low_bits for low_bits = (n-1)(bit length of p - 1). For a
+    multidegree m of total n, the multinomial M = n!/prod(m_i!) is at least
+    2^(n - max m) (peel off the largest part, one binomial at a time). Each
+    Moebius term with d >= 2 is at most M^(1/2), because M_d^d <= M (a word
+    of d equal blocks is one word of M), and the necklace count times n, or h
+    times n(n-1), is M plus at most 2n^3 such terms: at least M / (2n^2) once
+    M^(1/2) >= 4n^3. Passing the digit limit by 2 * bit_length(16n^6) more
+    bits meets both side conditions."""
+    limit = sys.get_int_max_str_digits()
+    if limit and low_bits >= (10 ** limit).bit_length() + 2 * (16 * n ** 6).bit_length():
+        raise _too_long(query, limit)
+    if n > MAX_DEGREE:
+        raise ResourceLimitError(f"{query} is refused: dims computes degrees up to {MAX_DEGREE}")
+
+
+def _printable(report: "DimensionReport") -> "DimensionReport":
+    """The report, if its value has no more digits than the interpreter prints."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(report.value) >= 10 ** limit:
+        raise _too_long(report.query, limit)
+    return report
+
+
 def dimension_report(kind: str, *, n: int | None = None, p: int | None = None,
                      multidegree=None, oracle: bool = False,
                      char: int | None = None,
                      max_words: int | None = None) -> DimensionReport:
     """Evaluate one dimension query, optionally cross-checked by row reduction.
 
-    The rank oracle checks totals over n and p only, so it is refused together
+    A degree past MAX_DEGREE, or a value with more decimal digits than the
+    interpreter prints, is refused with ResourceLimitError; a value surely
+    that long is refused before it is computed (see `_refuse_before`). The
+    rank oracle checks totals over n and p only, so it is refused together
     with a multidegree rather than silently dropped."""
     if oracle and multidegree is not None:
         raise InputError("the rank oracle checks totals over --n and --p; "
                          "it does not take a multidegree")
+    if kind not in ("witt", "necklace", "h"):
+        raise InputError(f"unknown dimension kind {kind!r}")
+    if kind == "witt" and multidegree is not None:
+        kind = "necklace"
+    if kind == "necklace" or multidegree is not None:
+        if multidegree is None:
+            raise InputError("necklace needs --multidegree")
+        md = _check_multidegree(multidegree)
+        query = f"{kind}{md}"
+        _refuse_before(query, sum(md), sum(md) - max(md))
+        if kind == "necklace":
+            report = DimensionReport(query, witt_multidegree(md),
+                                     anchor="multidegree necklace count via the Moebius sum")
+        else:
+            report = DimensionReport(query, h_dim_multidegree(md),
+                                     anchor="diagram-space dimension per multidegree")
+        return _printable(report)
+    if n is None or p is None:
+        raise InputError("witt needs --n and --p" if kind == "witt"
+                         else "h needs --n and --p (or --multidegree)")
+    query = f"{kind}(n={n}, p={p})"
+    if p >= 1:  # else the formula names the bad input
+        _refuse_before(query, n, (n - 1) * (p.bit_length() - 1))
     if kind == "witt":
-        if multidegree is not None:
-            return dimension_report("necklace", multidegree=multidegree)
-        if n is None or p is None:
-            raise InputError("witt needs --n and --p")
-        value = witt_total(n, p)
-        report = DimensionReport(f"witt(n={n}, p={p})", value,
+        report = DimensionReport(query, witt_total(n, p),
                                  anchor="free Lie algebra dimension via the Moebius sum")
         family: Family = "l"
-    elif kind == "necklace":
-        md = _check_multidegree(multidegree)
-        value = witt_multidegree(md)
-        return DimensionReport(f"necklace{md}", value,
-                               anchor="multidegree necklace count via the Moebius sum")
-    elif kind == "h":
-        if multidegree is not None:
-            md = _check_multidegree(multidegree)
-            value = h_dim_multidegree(md)
-            return DimensionReport(f"h{md}", value,
-                                   anchor="diagram-space dimension per multidegree")
-        if n is None or p is None:
-            raise InputError("h needs --n and --p (or --multidegree)")
-        value = h_dim_total(n, p)
-        report = DimensionReport(f"h(n={n}, p={p})", value,
+    else:
+        report = DimensionReport(query, h_dim_total(n, p),
                                  anchor="p*witt(n-1) - witt(n), zero at degree 1")
         family = "prime"
-    else:
-        raise InputError(f"unknown dimension kind {kind!r}")
+    _printable(report)
     if oracle:
         computed = rank_oracle(n, p, family, char, max_words=max_words)
         report.method = "both"
         report.extra["rank_oracle"] = computed
-        if computed != value:
+        if computed != report.value:
             report.extra["agreement"] = False
             raise ArithmeticError(
-                f"rank oracle disagrees with the formula: {computed} != {value}")
+                f"rank oracle disagrees with the formula: {computed} != {report.value}")
         report.extra["agreement"] = True
     return report

@@ -9,6 +9,18 @@ Chain grammar:
 A bare coefficient is a multiple of the empty word. Rendering is canonical
 (terms sorted by length then lexicographically, explicit coefficients), so
 parse and render are mutually inverse on normal forms.
+
+Reading a chain: each well-formed term, together with the sign or the end of
+text that follows it, is read by one match of `_TERM` at the current
+position; its letters come from one split on "," and a range check. Because
+the match must end at a sign or at the end of the text, a bare coefficient
+followed by "*" or "/" ("2*") and a digit run cut short ("14*01") fail to
+match instead of being misread. At the first text the pattern does not
+match, at a letter outside the alphabet and at a zero denominator, the rest
+of the text goes to the token reader `_Tokens`, one token at a time. It is
+the one place that names an error and its position, and it reads any
+well-formed text it is given, so the result never depends on where the
+match stopped.
 """
 
 from __future__ import annotations
@@ -26,17 +38,24 @@ class ChainSyntaxError(InputError):
         self.position = position
 
 
+# groups: sign of the coefficient, numerator, denominator, letters after a
+# coefficient, letters of a bare word, then the sign of the next term or ""
+_TERM = re.compile(r"""\s*(?:
+    (-)?\s*(\d+)(?:\s*/\s*(\d+))?(?:\s*\*\s*\[([\d\s,]+)\])?
+  | \[([\d\s,]+)\]
+  )\s*([+-]|\Z)""", re.VERBOSE)
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<sym>[\[\],+\-*/]))")
 _SPACES = re.compile(r"\s*")
+_LETTER = re.compile(r"\d+")
 
 
 class _Tokens:
-    """The tokens of a text, each matched once: `peek` at the next one, or
-    take it with `next`, `accept` or `number`."""
+    """The tokens of a text from position `pos` on, each matched once: `peek`
+    at the next one, or take it with `next`, `accept` or `number`."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
         self._peeked = (-1, None, 0)  # (position, token, end) of the last match
 
     def peek(self):
@@ -74,17 +93,51 @@ class _Tokens:
 
 def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
     """Parse the chain grammar into a normalized Chain over the alphabet 1..p."""
-    tokens = _Tokens(text)
-    if tokens.peek() is None:
+    pairs = []
+    pos, sign = 0, 1
+    while m := _TERM.match(text, pos):
+        neg, num, den, letters, bare, sep = m.groups()
+        letters = letters or bare
+        if letters is None:
+            word = ()
+        else:
+            try:
+                # from a list, so the tuple is allocated at its size: words
+                # live on as memo keys, and tuple(map(...)) starts at 10 slots
+                # and may keep that block when it shrinks
+                word = tuple([*map(int, letters.split(","))])
+            except ValueError:  # an empty letter, or two numbers in one
+                break
+            if min(word) < 1 or max(word) > p:
+                break
+        if num is None:
+            coeff = 1
+        else:
+            numerator = -int(num) if neg else int(num)
+            denominator = int(den) if den else 1
+            if not denominator:
+                break
+            coeff = (numerator if den is None and char is None
+                     else make_coefficient(numerator, denominator, char))
+        pairs.append((word, coeff if sign == 1 else -coeff))
+        if not sep:
+            return Chain(p, accumulate(pairs), char)
+        pos, sign = m.end(), 1 if sep == "+" else -1
+    _read_tokens(_Tokens(text, pos), p, char, pairs, sign)
+    return Chain(p, accumulate(pairs), char)
+
+
+def _read_tokens(tokens: _Tokens, p: int, char: int | None, pairs: list, sign: int) -> None:
+    """Read the rest of a chain token by token, appending its signed terms to
+    `pairs`; `sign` is the sign already read before the next term."""
+    if tokens.pos == 0 and tokens.peek() is None:
         raise ChainSyntaxError("empty chain", tokens.pos)
-    terms: dict[Word, object] = {}
-    sign = 1
     while True:
         word, coeff = _parse_term(tokens, p, char)
-        accumulate([(word, coeff if sign == 1 else -coeff)], terms)
+        pairs.append((word, coeff if sign == 1 else -coeff))
         tok = tokens.peek()
         if tok is None:
-            return Chain(p, terms, char)
+            return
         if tok not in "+-":
             raise ChainSyntaxError(f"expected '+' or '-', got {tok!r}", tokens.pos)
         sign = 1 if tokens.next() == "+" else -1
@@ -128,9 +181,11 @@ def _signed_sum(terms) -> str:
     attached and later ones spaced; '0' when there are no terms."""
     pieces = []
     for coeff, suffix in terms:
-        negative = coeff < 0
-        sign = ("- " if negative else "+ ") if pieces else ("-" if negative else "")
-        pieces.append(sign + str(-coeff if negative else coeff) + suffix)
+        text = str(coeff)  # the sign comes off the text: no comparison, no negation
+        if text[0] == "-":
+            pieces.append(("- " if pieces else "-") + text[1:] + suffix)
+        else:
+            pieces.append(("+ " if pieces else "") + text + suffix)
     return " ".join(pieces) or "0"
 
 
@@ -168,10 +223,10 @@ def _parse_magma(text: str, pos: int):
         if pos >= len(text) or text[pos] != ")":
             raise InputError(f"expected ')' at position {pos}")
         return (left, right), pos + 1
-    m = re.match(r"\d+", text[pos:])
+    m = _LETTER.match(text, pos)
     if not m:
         raise InputError(f"expected a letter at position {pos}")
-    return int(m.group()), pos + m.end()
+    return int(m.group()), m.end()
 
 
 def render_magma(term: MagmaTerm) -> str:

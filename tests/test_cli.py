@@ -208,6 +208,29 @@ def test_dims_value_too_long_to_print_exits_two(capsys, argv, fmt):
     assert err.startswith("error: ") and "decimal digits, too many to print" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("dims", "witt", "--n", "20000000", "--p", "1"), "dims computes degrees up to 1000000"),
+    (("dims", "witt", "--n", "2000000", "--p", "2"), "decimal digits, too many to print"),
+    (("dims", "witt", "--n", "1000000000", "--p", "2"), "decimal digits, too many to print"),
+    (("dims", "h", "--n", "1000000000", "--p", "2"), "decimal digits, too many to print"),
+    (("dims", "necklace", "--multidegree", "1000000000,1000000000"),
+     "decimal digits, too many to print"),
+    (("dims", "necklace", "--multidegree", "1000000000,1"), "dims computes degrees up to"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dims_refuses_large_queries_before_computing(capsys, argv, reason, fmt):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
+def test_dims_necklace_needs_a_multidegree(capsys):
+    code, out, err = run(capsys, "dims", "necklace", "--n", "3", "--p", "2")
+    assert (code, out, err) == (2, "", "error: necklace needs --multidegree\n")
+
+
 def test_char_two_rejected(capsys):
     code, _, err = run(capsys, "eta", "--chain", "[1]", "-p", "2", "--char", "2")
     assert code == 2

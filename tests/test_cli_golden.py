@@ -70,6 +70,13 @@ ONE_FORMAT = {
     "verify_rho_clamped": ["verify", "--suite", "rho", "--max-degree", "2", "--p", "2"],
     "verify_maxlen_p3": ["verify", "--suite", "maxlen", "--max-degree", "4", "--p", "3"],
     "error_bad_letter": ["eta", "--chain", "[1,3]", "-p", "2"],
+    "error_chain_bare_star": ["eta", "-p", "2", "--chain", "2*", "--format", "text"],
+    "error_chain_open_word": ["eta", "-p", "2", "--chain", "1*[1,2", "--format", "text"],
+    "error_chain_zero_denominator": ["eta", "-p", "2", "--chain", "1/0*[1]",
+                                     "--format", "text"],
+    "error_chain_stray_character": ["eta", "-p", "2", "--chain", "[1]x", "--format", "text"],
+    "error_chain_trailing_plus": ["eta", "-p", "2", "--chain", "3*[1] + ",
+                                  "--format", "text"],
     "error_char_two": ["eta", "--chain", "[1]", "-p", "2", "--char", "2"],
     "error_prime_char3": ["reduce", "--space", "prime", "--char", "3",
                           "--chain", "[1,2,3,4]", "-p", "4"],

@@ -1,10 +1,13 @@
+import sys
+from contextlib import nullcontext
 from itertools import product
 
 import pytest
 
 from swingwords.bases import enum_words
-from swingwords.dims import (dimension_report, h_dim_multidegree, h_dim_total,
-                             mobius, rank_oracle, witt_multidegree, witt_total)
+from swingwords.dims import (_moebius_divisors, _refuse_before, dimension_report,
+                             h_dim_multidegree, h_dim_total, mobius, rank_oracle,
+                             witt_multidegree, witt_total)
 from swingwords.scalars import InputError, ResourceLimitError
 
 
@@ -118,3 +121,47 @@ def test_bad_queries():
         witt_multidegree((0, 0))
     with pytest.raises(InputError):
         witt_total(0, 3)
+
+
+def test_divisors_from_the_factorisation():
+    for n in range(1, 400):
+        assert sorted(_moebius_divisors(n)) == [(d, mobius(d)) for d in range(1, n + 1)
+                                                if n % d == 0 and mobius(d)]
+    # a prime near 10^12 takes one trial division pass up to its square root
+    assert witt_total(999_999_999_989, 1) == 0
+
+
+def _refused_early(query, n, low_bits):
+    try:
+        _refuse_before(query, n, low_bits)
+    except ResourceLimitError:
+        return True
+    return False
+
+
+def test_early_refusal_only_of_values_past_the_digit_limit(monkeypatch):
+    """With a 3-digit print limit, every query refused before computing has a
+    value of at least 10^3, and `dimension_report` refuses exactly those."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3)
+    early = 0
+    for n in range(1, 11):
+        for k in range(1, 41, 3):
+            for p in {2 ** k - 1, 2 ** k, 2 ** k + 1} - {0}:
+                for kind, value in (("witt", witt_total(n, p)), ("h", h_dim_total(n, p))):
+                    if _refused_early("q", n, (n - 1) * (p.bit_length() - 1)):
+                        early += 1
+                        assert value >= 1000, (kind, n, p)
+                    try:
+                        report = dimension_report(kind, n=n, p=p)
+                    except ResourceLimitError:
+                        assert value >= 1000
+                    else:
+                        assert report.value == value < 1000
+    for md in [(40, 40, 40, 40), (60, 60, 60), (120, 2), (100, 100), (30,) * 7, (1, 1, 1)]:
+        for kind, value in (("necklace", witt_multidegree(md)), ("h", h_dim_multidegree(md))):
+            if _refused_early("q", sum(md), sum(md) - max(md)):
+                early += 1
+                assert value >= 1000, (kind, md)
+            with pytest.raises(ResourceLimitError) if value >= 1000 else nullcontext():
+                dimension_report(kind, multidegree=md)
+    assert early >= 50
