@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .chains import Chain, Multidegree, Word, accumulate
+from .chains import Multidegree, Word, accumulate
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
-from .quotients import g_image_key
+from .quotients import _g_image_scaled
 from .scalars import InputError, ResourceLimitError
 
 DEFAULT_MAX_BLOCK = 2_000_000
@@ -105,16 +105,16 @@ def lie_basis(m) -> BasisSet:
 
 def h_basis(m) -> BasisSet:
     """Greedy lexicographic selection of words with independent primed
-    canonical forms; certified against the re-attachment kernel dimension."""
+    canonical forms, their g-images scaled by n - 1; certified against the
+    re-attachment kernel dimension."""
     md = tuple(m)
-    p = len(md)
     target = h_dim_multidegree(md)
     space = RowSpace()
     chosen: list[Word] = []
     for word in enum_words(md):
         if space.rank == target:
             break
-        if space.insert(g_image_key(Chain.of_word(p, word))):
+        if space.insert(_g_image_scaled(word)):
             chosen.append(word)
     if len(chosen) != target:
         raise ArithmeticError(

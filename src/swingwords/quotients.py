@@ -25,26 +25,26 @@ memo. That is about n 2^(n-2) products in place of the 4^(n-2) of running g'
 on every word of fold_l(n, w); `_g_image_scaled` gives the formula and its
 derivation.
 
-Both canonical forms clear a chain to integer terms over one scale and sum the
-memoized integer word images. The left form divides once by the scale times
-n. The primed form keeps its integer terms over the scale times n - 1,
-normalised by their gcd over Q and reduced mod q over F_q, compares and
-hashes those, and divides only when its image is read. A residue chain takes
-the same path with scale 1 and refuses when q divides n or n - 1; the span
-fallback reads residues on entry to the row reduction.
+Both canonical forms clear a chain to integer terms over one scale, sum the
+memoized integer word images, and keep the sum as one kind of key
+(`_ClassKey`): integer terms over a positive scale, the chain's scale times
+(-1)^(n-1) n for the left form and times n - 1 for the primed form,
+normalised by their gcd over Q and reduced mod q over F_q. Keys compare and
+hash those integers and divide once, when `.chain` or `.image` is first read.
+A residue chain takes the same path with scale 1. The primed form refuses it
+when q divides n - 1; the left form falls back to the relation span when q
+divides n, and the span reads residues on entry to the row reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Iterable, Literal
 
 from .chains import Chain, Multidegree, Word, accumulate, word_multidegree
 from .linalg import RowSpace
-from .moves import (eta, eta_word, fold_l, fold_l_word, fold_prime_word, linear_extension,
+from .moves import (eta_word, fold_l, fold_l_word, fold_prime_word, linear_extension,
                     linear_image, shared_words)
 from .scalars import InputError, ResourceLimitError, check_characteristic, cleared, divided
 
@@ -57,72 +57,48 @@ _PRIME_IMAGE_MEMO: dict[Word, dict[Word, int]] = {}
 _PRIME_IMAGE_MEMO_MAX_DEGREE = 7
 
 
-@dataclass(frozen=True)
-class LieCanonical:
-    """Canonical representative of a chain in the left-fold quotient. All zero
-    classes are equal, whatever their degree; so are PrimeCanonical's."""
-
-    degree: int
-    chain: Chain
-    method: str = "dynkin"
-
-    def is_zero(self) -> bool:
-        return self.chain.is_zero()
-
-    def _key(self) -> tuple:
-        return () if self.is_zero() else (self.degree, self.chain)
-
-    def __eq__(self, other):
-        if not isinstance(other, LieCanonical):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-class PrimeCanonical:
-    """Canonical key of a chain in the primed-fold quotient: its g-image, a
-    chain of degree-n words.
-
-    The key is held as integer terms over one scale, image = terms / scale:
-    over Q with gcd(scale, terms) = 1 and scale > 0, over F_q as residues
-    with scale 1. Equality and hashing read these integers, and `image`
-    divides once, on first use. Building the key over F_q inverts the scale,
-    so a residue chain of degree n with q | n - 1 is refused whatever its
-    image. Keys over different fields or alphabets differ, except that all
-    zero classes are equal, whatever their degree, alphabet or field.
+class _ClassKey:
+    """A class in a fold-move quotient, held as integer terms over a positive
+    scale: chain = terms / scale, over Q with gcd(scale, terms) = 1, over F_q
+    as residues with scale 1. Equality and hashing read these integers, and
+    the chain is divided once, the first time it is read. Two keys of one
+    kind over different degrees, fields or alphabets differ, unless both are
+    zero: all zero classes of one kind are equal. A key never equals a key of
+    the other kind.
     """
 
-    __slots__ = ("degree", "p", "_terms", "_scale", "_q", "_image")
+    __slots__ = ("degree", "p", "_terms", "_scale", "_q", "_chain")
 
-    def __init__(self, degree: int, image: Chain):
-        self._set(degree, image.p, *cleared(image.terms, image.char), image.char)
-        self._image = image
+    def __init__(self, degree: int, chain: Chain):
+        self._set(degree, chain.p, *cleared(chain.terms, chain.char), chain.char)
+        self._chain = chain
 
     @classmethod
     def _scaled(cls, degree: int, p: int, terms: dict[Word, int], scale: int,
-                q: int | None) -> "PrimeCanonical":
-        """The class whose image is terms / scale, read mod q over F_q."""
+                q: int | None):
+        """The class whose chain is terms / scale, read mod q over F_q."""
         key = cls.__new__(cls)
         key._set(degree, p, terms, scale, q)
-        key._image = None
+        key._chain = None
         return key
 
     def _set(self, degree: int, p: int, terms: dict[Word, int], scale: int,
              q: int | None) -> None:
+        # over F_q no gcd is taken: dividing by the scale is what refuses a
+        # scale that q divides, whatever the terms
         if q is not None:
             terms, scale = divided(terms, scale, q), 1
-        elif (common := gcd(scale, *terms.values())) != 1:
-            terms = {w: v // common for w, v in terms.items()}
-            scale //= common
+        else:
+            common = gcd(scale, *terms.values()) * (1 if scale > 0 else -1)
+            if common != 1:
+                terms = {w: v // common for w, v in terms.items()}
+                scale //= common
         self.degree, self.p, self._terms, self._scale, self._q = degree, p, terms, scale, q
 
-    @property
-    def image(self) -> Chain:
-        if self._image is None:
-            self._image = Chain._make(self.p, divided(self._terms, self._scale, self._q), self._q)
-        return self._image
+    def _divided(self) -> Chain:
+        if self._chain is None:
+            self._chain = Chain._make(self.p, divided(self._terms, self._scale, self._q), self._q)
+        return self._chain
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -131,7 +107,7 @@ class PrimeCanonical:
         return () if self.is_zero() else (self.degree, self.p, self._q, self._scale)
 
     def __eq__(self, other):
-        if not isinstance(other, PrimeCanonical):
+        if type(other) is not type(self):
             return NotImplemented
         return self._key() == other._key() and self._terms == other._terms
 
@@ -139,7 +115,32 @@ class PrimeCanonical:
         return hash((self._key(), frozenset(self._terms.items())))
 
     def __repr__(self):
-        return f"PrimeCanonical(degree={self.degree}, image={self.image!r})"
+        return f"{type(self).__name__}({self.degree}, {self._divided()!r})"
+
+
+class LieCanonical(_ClassKey):
+    """Canonical key of a chain in the left-fold quotient: its projection, a
+    chain of degree-n words, found by the Dynkin projector or, with
+    method "span", by reduction against the relation span."""
+
+    method = "dynkin"  # also for the keys canonical_l builds from integers
+
+    def __init__(self, degree: int, chain: Chain, method: str = "dynkin"):
+        super().__init__(degree, chain)
+        self.method = method
+
+    chain = property(_ClassKey._divided)
+
+
+class PrimeCanonical(_ClassKey):
+    """Canonical key of a chain in the primed-fold quotient: its g-image, a
+    chain of degree-n words. `canonical_prime` builds it over the scale times
+    n - 1, so a residue chain of degree n with q | n - 1 is refused whatever
+    its image."""
+
+    __slots__ = ()
+
+    image = property(_ClassKey._divided)
 
 
 class RelationSpan:
@@ -271,11 +272,12 @@ def relation_span(degree: int, p: int, family: Family, char: int | None = None,
 def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     """Project a homogeneous chain onto its left-fold canonical representative.
 
-    In characteristic zero (and whenever the characteristic does not divide the
-    degree) this applies the idempotent projector; otherwise it falls back to
-    normal-form reduction against the relation span and flags the result. The
-    result lies over F_char, else over the chain's field; a rational chain is
-    read mod char after eta. Applied to a tensor image it is the re-attachment ell.
+    The result lies over F_char, else over the chain's field; a rational chain
+    is read mod char after eta. Over Q, and over an F_q with q not dividing the
+    degree, this applies the idempotent projector, whose integer image is the
+    key; otherwise it falls back to normal-form reduction against the relation
+    span and flags the result. Applied to a tensor image it is the
+    re-attachment ell.
     """
     if not chain.is_homogeneous():
         raise InputError("canonical form requires a homogeneous chain")
@@ -285,14 +287,16 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     degree = chain.degree()
     if degree is None or degree == 0:
         return LieCanonical(degree or 0, Chain(chain.p, chain.terms, q))
-    if char is not None and degree % char == 0:
-        span = relation_span(degree, chain.p, "l", char)
+    if q is not None and degree % q == 0:
+        span = relation_span(degree, chain.p, "l", q)
         return LieCanonical(degree, span.reduce(chain), method="span")
-    signed = degree if (degree - 1) % 2 == 0 else -degree
-    if q == chain.char:
-        return LieCanonical(degree, linear_extension(chain, eta_word, signed))
-    # a rational chain: eta over Q, read mod q, then the projector's 1/n
-    return LieCanonical(degree, Chain(chain.p, eta(chain).terms, q).scale(Fraction(1, signed)))
+    terms, scale = cleared(chain.terms, chain.char)
+    terms = linear_image(terms, eta_word)
+    if q != chain.char:
+        # a rational chain: eta over Q, read mod q, then the projector's 1/n
+        terms, scale = cleared(divided(terms, scale), q)
+    return LieCanonical._scaled(degree, chain.p, terms,
+                                scale * (degree if (degree - 1) % 2 == 0 else -degree), q)
 
 
 def _g_prime_scaled(word: Word) -> dict[Word, int]:
@@ -350,39 +354,26 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     return out
 
 
-def _g_image_cleared(chain: Chain) -> tuple[dict[Word, int], int, int | None]:
-    """(integer terms, scale, q) with (degree - 1) * g(chain) = terms / scale
-    over the chain's field F_q or Q: the one integer path of the primed class."""
-    terms, scale = cleared(chain.terms, chain.char)
-    return linear_image(terms, _g_image_scaled), scale, chain.char
-
-
-def g_image_key(chain: Chain) -> dict[Word, object]:
-    """(degree - 1) * g(chain) as a term dict over words, in the chain's own
-    field. Chains of one degree are equal in the primed quotient exactly when
-    their keys are equal."""
-    return divided(*_g_image_cleared(chain))
-
-
-def _tensor_image(chain: Chain, word_map) -> Chain:
-    """The image of a degree-n chain under an integer word map, over n - 1; over
-    F_q with q | n - 1 it refuses every nonzero chain, whatever its image."""
+def _tensor_degree(chain: Chain) -> int:
+    """The degree n of a chain whose tensor image is asked for; n >= 2."""
     degree = chain.degree()
     if degree is None:
         raise InputError("the zero chain has no well-defined degree")
     if degree < 2:
         raise InputError("the tensor image requires degree >= 2")
-    return linear_extension(chain, word_map, degree - 1)
+    return degree
 
 
 def g_prime_map(chain: Chain) -> Chain:
     """Split each word into (canonical prefix) tensor (last letter)."""
-    return _tensor_image(chain, _g_prime_scaled)
+    return linear_extension(chain, _g_prime_scaled, _tensor_degree(chain) - 1)
 
 
 def g_map(chain: Chain) -> Chain:
-    """g = g' - g' after the top left-fold; kills every primed relation."""
-    return _tensor_image(chain, _g_image_scaled)
+    """g = g' - g' after the top left-fold; kills every primed relation. Over
+    F_q with q | n - 1 it refuses every nonzero chain, whatever its image."""
+    _tensor_degree(chain)
+    return canonical_prime(chain).image
 
 
 def canonical_prime(chain: Chain) -> PrimeCanonical:
@@ -395,8 +386,9 @@ def canonical_prime(chain: Chain) -> PrimeCanonical:
     degree = chain.degree()
     if degree is None or degree <= 1:
         return PrimeCanonical(degree or 0, Chain._make(chain.p, {}, chain.char))
-    terms, scale, q = _g_image_cleared(chain)
-    return PrimeCanonical._scaled(degree, chain.p, terms, scale * (degree - 1), q)
+    terms, scale = cleared(chain.terms, chain.char)
+    return PrimeCanonical._scaled(degree, chain.p, linear_image(terms, _g_image_scaled),
+                                  scale * (degree - 1), chain.char)
 
 
 # the re-attachment maps of the exact sequence, on an image's chain of words

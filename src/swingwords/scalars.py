@@ -71,13 +71,13 @@ def check_characteristic(q: int) -> int:
 
 
 def make_coefficient(numerator: int, denominator: int = 1, char: int | None = None):
-    """Build a coefficient in the requested mode, reduced to normal form."""
+    """Build a coefficient in the requested mode, reduced to normal form; the
+    caller checks that char is an odd prime."""
     if denominator == 0:
         raise InputError("zero denominator in coefficient")
     f = Fraction(numerator, denominator)
     if char is None:
         return int(f) if f.denominator == 1 else f
-    check_characteristic(char)
     if f.denominator % char == 0:
         raise InputError(f"coefficient {f} has denominator {f.denominator}, a multiple of "
                          f"the residue characteristic {char}, so it has no residue mod {char}")

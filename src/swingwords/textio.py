@@ -16,20 +16,22 @@ position; its letters come from one split on "," and a range check. Because
 the match must end at a sign or at the end of the text, a bare coefficient
 followed by "*" or "/" ("2*") and a digit run cut short ("14*01") fail to
 match instead of being misread. At the first text the pattern does not
-match, at a letter outside the alphabet and at a zero denominator, the rest
-of the text goes to the token reader `_Tokens`, one token at a time. It is
-the one place that names an error and its position, and it reads any
-well-formed text it is given, so the result never depends on where the
-match stopped.
+match, at a letter outside the alphabet, at a zero denominator and at a
+number longer than the interpreter converts to an int, the rest of the text
+goes to the token reader `_Tokens`, one token at a time. It is the one place
+that names an error and its position, and it reads any well-formed text it
+is given, so the result never depends on where the match stopped. The
+residue characteristic is checked once, before the first term.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .chains import Chain, Word, accumulate
 from .moves import MagmaTerm
-from .scalars import InputError, make_coefficient
+from .scalars import InputError, check_characteristic, make_coefficient
 
 
 class ChainSyntaxError(InputError):
@@ -49,30 +51,41 @@ _SPACES = re.compile(r"\s*")
 _LETTER = re.compile(r"\d+")
 
 
+def _int(digits: str, what: str, position: int | None = None) -> int:
+    """int(digits), refusing a number longer than the interpreter converts,
+    at `position` if it is given."""
+    try:
+        return int(digits)
+    except ValueError:
+        message = (f"{what} has {len(digits)} digits; at most "
+                   f"{sys.get_int_max_str_digits()} are read")
+        raise (InputError(message) if position is None
+               else ChainSyntaxError(message, position)) from None
+
+
 class _Tokens:
-    """The tokens of a text from position `pos` on, each matched once: `peek`
-    at the next one, or take it with `next`, `accept` or `number`."""
+    """The tokens of a text from position `pos` on: `peek` at the next one,
+    or take it with `next`, `accept` or `number`."""
 
     def __init__(self, text: str, pos: int = 0):
         self.text = text
         self.pos = pos
-        self._peeked = (-1, None, 0)  # (position, token, end) of the last match
+
+    def _match(self) -> tuple[str | None, int]:
+        """The next token and its end; None and `pos` at the end of the text."""
+        m = _TOKEN.match(self.text, self.pos)
+        if m is not None:
+            return m.group("num") or m.group("sym"), m.end()
+        rest = self.text[self.pos:].strip()
+        if rest:
+            raise ChainSyntaxError(f"unexpected character {rest[0]!r}", self.pos)
+        return None, self.pos
 
     def peek(self):
-        if self._peeked[0] != self.pos:
-            m = _TOKEN.match(self.text, self.pos)
-            if m is None:
-                rest = self.text[self.pos:].strip()
-                if rest:
-                    raise ChainSyntaxError(f"unexpected character {rest[0]!r}", self.pos)
-                self._peeked = (self.pos, None, self.pos)
-            else:
-                self._peeked = (self.pos, m.group("num") or m.group("sym"), m.end())
-        return self._peeked[1]
+        return self._match()[0]
 
     def next(self):
-        tok = self.peek()
-        self.pos = self._peeked[2]
+        tok, self.pos = self._match()
         return tok
 
     def accept(self, sym: str) -> bool:
@@ -87,36 +100,37 @@ class _Tokens:
         tok = self.peek()
         if tok is None or not tok.isdigit():
             raise ChainSyntaxError(f"expected {what}", self.pos)
+        value = _int(tok, what, self.pos)
         self.next()
-        return int(tok)
+        return value
 
 
 def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
     """Parse the chain grammar into a normalized Chain over the alphabet 1..p."""
+    if char is not None:
+        check_characteristic(char)
     pairs = []
     pos, sign = 0, 1
     while m := _TERM.match(text, pos):
         neg, num, den, letters, bare, sep = m.groups()
         letters = letters or bare
-        if letters is None:
-            word = ()
-        else:
-            try:
-                # from a list, so the tuple is allocated at its size: words
-                # live on as memo keys, and tuple(map(...)) starts at 10 slots
-                # and may keep that block when it shrinks
-                word = tuple([*map(int, letters.split(","))])
-            except ValueError:  # an empty letter, or two numbers in one
-                break
-            if min(word) < 1 or max(word) > p:
-                break
+        try:
+            # from a list, so the tuple is allocated at its size: words live
+            # on as memo keys, and tuple(map(...)) starts at 10 slots and may
+            # keep that block when it shrinks
+            word = () if letters is None else tuple([*map(int, letters.split(","))])
+            if num is not None:
+                numerator = -int(num) if neg else int(num)
+                denominator = int(den) if den else 1
+        except ValueError:  # an empty letter, two numbers in one, or a number
+            break           # longer than the interpreter converts
+        if word and (min(word) < 1 or max(word) > p):
+            break
         if num is None:
             coeff = 1
+        elif not denominator:
+            break
         else:
-            numerator = -int(num) if neg else int(num)
-            denominator = int(den) if den else 1
-            if not denominator:
-                break
             coeff = (numerator if den is None and char is None
                      else make_coefficient(numerator, denominator, char))
         pairs.append((word, coeff if sign == 1 else -coeff))
@@ -226,7 +240,7 @@ def _parse_magma(text: str, pos: int):
     m = _LETTER.match(text, pos)
     if not m:
         raise InputError(f"expected a letter at position {pos}")
-    return int(m.group()), m.end()
+    return _int(m.group(), "a letter", pos), m.end()
 
 
 def render_magma(term: MagmaTerm) -> str:
@@ -254,7 +268,7 @@ def parse_swingword(text: str):
         value = parts[0].strip()
         if not value.isdecimal():
             raise InputError(f"degenerate swing word needs a single letter: {text!r}")
-        return SwingWord(tail=int(value), beads=(), head=None, sign=sign)
+        return SwingWord(tail=_int(value, "the letter"), beads=(), head=None, sign=sign)
     if len(parts) != 3:
         raise InputError(f"swing word needs 'tail | beads | head': {text!r}")
     tail_text, beads_text, head_text = (part.strip() for part in parts)
@@ -265,7 +279,8 @@ def parse_swingword(text: str):
     while pos < len(beads_text):  # stripped, so a term follows any space
         term, pos = _parse_magma(beads_text, pos)
         beads.append(term)
-    return SwingWord(tail=int(tail_text), beads=tuple(beads), head=int(head_text), sign=sign)
+    return SwingWord(tail=_int(tail_text, "the tail"), beads=tuple(beads),
+                     head=_int(head_text, "the head"), sign=sign)
 
 
 def render_swingword(sw) -> str:

@@ -351,11 +351,17 @@ def rho_alt(sw: SwingWord, schedule, p: int) -> Chain:
     return Chain(p, accumulate((word_of(beads), sign) for sign, beads in terms))
 
 
+def tree_chain(tree: JacobiTree, head: int | None = None, tail: int | None = None) -> Chain:
+    """rho of the tree's swing word read from the given head and tail legs
+    (default: to_vertebrate's choice)."""
+    v = to_vertebrate(tree) if head is None else Vertebrate(tree, head, tail)
+    return rho(read_swingword(v), tree.p)
+
+
 def diagram_class(tree: JacobiTree) -> PrimeCanonical:
     """The primed canonical form of the tree: invariant under orientation
     swaps (with sign), internal-edge expansion, and head/tail choice."""
-    sw = read_swingword(to_vertebrate(tree))
-    return canonical_prime(rho(sw, tree.p))
+    return canonical_prime(tree_chain(tree))
 
 
 def tree_to_json(tree: JacobiTree) -> str:
@@ -392,7 +398,7 @@ def _int_keyed(value, what: str) -> dict:
 def tree_from_json(text: str, p: int | None = None) -> JacobiTree:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or a number past the digit limit
         raise InputError(f"invalid tree JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputError("tree JSON must be an object")

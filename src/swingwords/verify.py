@@ -15,16 +15,15 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product, starmap
 
 from .bases import ell_ranks
-from .chains import Chain, Word, accumulate, word_multidegree
+from .chains import Chain, Word, word_multidegree
 from .dims import h_dim_total, rank_oracle, witt_total
 from .linalg import RowSpace, kernel_basis
 from .moves import eta, eta_word, fold_l
-from .quotients import (canonical_l, canonical_prime, choose_head_by_letter, g_image_key,
+from .quotients import (PrimeCanonical, canonical_l, canonical_prime, choose_head_by_letter,
                         g_map, relation_span)
 from .scalars import InputError
-from .trees import (SwingWord, Vertebrate, as_swap, diagram_class, enumerate_topologies,
-                    ihx_expand, read_swingword, relabel_legs, rho, rho_alt,
-                    split_positions, to_vertebrate)
+from .trees import (SwingWord, as_swap, diagram_class, enumerate_topologies, ihx_expand,
+                    relabel_legs, rho, rho_alt, split_positions, tree_chain)
 
 SUITE_NAMES = ("lemmas", "exactness", "rho", "maxlen")
 
@@ -348,20 +347,12 @@ def _all_bead_tuples(total: int, p: int):
                 yield (bead,) + rest
 
 
-def _scaled_class(tree, head: int | None = None, tail: int | None = None) -> tuple:
-    """Integer-scaled canonical key of a tree's primed class, read from the
-    given head and tail legs (default: to_vertebrate's choice); same scale per
-    degree, so equality matches canonical_prime equality."""
-    v = to_vertebrate(tree) if head is None else Vertebrate(tree, head, tail)
-    return tuple(sorted(g_image_key(rho(read_swingword(v), tree.p)).items()))
-
-
 def _head_tail_agreements(trees):
     """For each tree and each of its (head, tail) leg choices, whether the
     choice gives the class of the tree's first choice."""
     for tree in trees:
         legs = tree.leg_vertices()
-        classes = [_scaled_class(tree, h, t) for h in legs for t in legs if h != t]
+        classes = [canonical_prime(tree_chain(tree, h, t)) for h in legs for t in legs if h != t]
         yield from (c == classes[0] for c in classes)
 
 
@@ -410,10 +401,11 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
                 tree = relabel_legs(shape, letters, p)
                 leg_ids = tree.leg_vertices()
                 pairs = [(h, t) for h in leg_ids for t in leg_ids if h != t]
-                classes = [_scaled_class(tree, h, t) for h, t in rng.sample(pairs, 4)]
+                classes = [canonical_prime(tree_chain(tree, h, t))
+                           for h, t in rng.sample(pairs, 4)]
                 # one outcome per tree; a zero space also needs the zero class
                 yield (all(c == classes[0] for c in classes)
-                       and (dim7 != 0 or classes[0] == ()))
+                       and (dim7 != 0 or classes[0].is_zero()))
         report.tally(f"sampled 7-leg trees agree across head/tail choices "
                      f"({samples_at_max} trees)", "trees", sampled_agree())
 
@@ -428,24 +420,24 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
 
     def swaps_negate():
         for tree in labelled(3):
-            base = _scaled_class(tree)
+            base = diagram_class(tree)
             for vertex in sorted(tree.cyclic):
                 swapped, sign = as_swap(tree, vertex)
-                flipped = tuple((k, sign * v) for k, v in _scaled_class(swapped))
-                yield tuple(sorted(flipped)) == base
+                yield canonical_prime(tree_chain(swapped).scale(sign)) == base
     report.tally(f"orientation swaps negate the class (through {exhaustive_legs} legs, "
                  f"p={p})", "swaps", swaps_negate())
 
     def expansions_sum():
         for tree in labelled(4):
-            base = _scaled_class(tree)
+            base = diagram_class(tree)
             for index, (u, v) in enumerate(tree.edges):
                 if u in tree.legs or v in tree.legs:
                     continue
-                merged = accumulate((key, coeff * value)
-                                    for part, coeff in ihx_expand(tree, index)
-                                    for key, value in _scaled_class(part))
-                yield tuple(sorted(merged.items())) == base
+                # canonical_prime is linear, so the sum of the parts' chains
+                # has the sum of their classes
+                merged = sum((tree_chain(part).scale(coeff)
+                              for part, coeff in ihx_expand(tree, index)), Chain.zero(p))
+                yield canonical_prime(merged) == base
     report.tally(f"internal-edge expansions sum to the class (through "
                  f"{exhaustive_legs} legs, p={p})", "expansions", expansions_sum())
 
@@ -457,9 +449,9 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
         for legs in (4, 5):
             for shape in shapes.get(legs, [])[:3]:
                 tree = relabel_legs(shape, [1 + (i % p) for i in range(legs)], p)
-                scaled = dict(_scaled_class(tree))
-                image = diagram_class(tree).image
-                yield scaled == {k: v * (legs - 1) for k, v in image.terms.items()}
+                key = diagram_class(tree)
+                rebuilt = PrimeCanonical(legs, key.image)
+                yield key == rebuilt and hash(key) == hash(rebuilt)
     report.tally("scaled comparator matches the canonical image", "trees",
                  comparator_matches())
     return report

@@ -4,6 +4,8 @@ Each test prints a single PASS/FAIL line (directly to the real stdout so the
 lines survive pytest capture) and enforces the stated runtime budget.
 """
 
+import hashlib
+import json
 import sys
 import time
 
@@ -46,6 +48,18 @@ def exactness_run():
     start = time.perf_counter()
     report = suite_exactness(max_degree=6, p_max=3, kernel_max_degree=5)
     return report, time.perf_counter() - start
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()[:8]
+
+
+def test_default_suite_reports_are_unchanged(lemmas_run, rho_run, exactness_run):
+    # sha256 prefixes of the default-size reports; a change to how classes are
+    # compared must leave every record, and its case count, as it was
+    assert [_digest(run[0]) for run in (lemmas_run, rho_run, exactness_run)] == [
+        "bc7829af", "b072584c", "27bf1da1"]
+    assert _digest(suite_maxlen()) == "2430c596"
 
 
 def test_criterion_1_headline_dimensions(capsys):

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -411,3 +412,27 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path, capsys):
         assert err.startswith("error: input nested too deeply; nesting depth")
         assert "Traceback" not in err
 
+
+LONG = "1" * (sys.get_int_max_str_digits() + 700)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on integer digits")
+@pytest.mark.parametrize("argv, named", [
+    (("eta", "-p", "2", "--chain", f"{LONG}*[1,2]"), "a coefficient has"),
+    (("eta", "-p", "2", "--chain", f"1/{LONG}*[1,2]"), "a denominator has"),
+    (("eta", "-p", "2", "--chain", f"[{LONG}]"), "a letter has"),
+    (("rho", "--swingword", f"<1|{LONG}|2>"), "a letter has"),
+    (("rho", "--swingword", f"<{LONG}|1|2>"), "the tail has"),
+    ("class", "invalid tree JSON"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_number_past_the_digit_limit_exits_two(tmp_path, capsys, argv, named, fmt):
+    if argv == "class":
+        path = tmp_path / "long.json"
+        path.write_text('{"vertices": [1, 2], "edges": [[1, 2]], '
+                        f'"legs": {{"1": {LONG}, "2": 2}}}}')
+        argv = ("class", "--tree", str(path))
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err

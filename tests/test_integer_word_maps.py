@@ -46,11 +46,12 @@ def ref_fold_prime(n, chain):
 
 def ref_canonical_l(chain, char=None):
     degree = chain.degree()
+    q = chain.char if char is None else char
     if degree is None or degree == 0:
         return LieCanonical(degree or 0, chain)
-    if char is not None and degree % char == 0:
-        span = relation_span(degree, chain.p, "l", char)
-        return LieCanonical(degree, span.reduce(Chain(chain.p, chain.terms, char)),
+    if q is not None and degree % q == 0:
+        span = relation_span(degree, chain.p, "l", q)
+        return LieCanonical(degree, span.reduce(Chain(chain.p, chain.terms, q)),
                             method="span")
     signed = degree if (degree - 1) % 2 == 0 else -degree
     image = ref_eta(chain)
@@ -190,18 +191,11 @@ def test_word_maps_match_the_termwise_reference(kind):
         _assert_same(_outcome(canonical_prime, chain), _outcome(ref_canonical_prime, chain),
                      label + ("canonical_prime",))
         # a rational chain over Q and read mod every q; a residue chain with
-        # and without its own characteristic as the fallback
+        # and without its own characteristic named
         q = int(kind[3:]) if kind.startswith("mod") else None
         for char in (None,) + (PRIMES if q is None else (q,)):
-            new = _outcome(canonical_l, chain, char)
-            ref = _outcome(ref_canonical_l, chain, char)
-            if q is not None and char is None and degree % q == 0:
-                # no fallback: every nonzero chain is refused, where the
-                # reference let a chain with eta = 0 through
-                assert new[:2] == ("raises", ZeroDivisionError), label
-                assert ref[0] == "raises" or ref_eta(chain).is_zero(), label
-                continue
-            _assert_same(new, ref, label + ("canonical_l", char))
+            _assert_same(_outcome(canonical_l, chain, char),
+                         _outcome(ref_canonical_l, chain, char), label + ("canonical_l", char))
 
 
 def test_cases_cover_the_span_fallback_and_the_refused_residue_images():
@@ -223,13 +217,16 @@ def test_cases_cover_the_span_fallback_and_the_refused_residue_images():
     assert fallbacks >= 10 and refusals >= 10 and fraction_refusals >= 10
 
 
-def test_residue_projector_refuses_every_nonzero_chain_when_q_divides_the_degree():
-    # without a characteristic to fall back on, the projector needs 1/n mod q;
-    # the chain [1,1,1] has eta = 0 and is refused like any other
-    for word in ((1, 1, 1), (1, 2, 2)):
-        with pytest.raises(ZeroDivisionError, match="division by zero mod 3"):
-            canonical_l(Chain(2, {word: 1}, 3))
-    assert canonical_l(Chain(2, {(1, 1, 1): 1}, 3), 3).is_zero()
+def test_residue_chain_falls_back_to_the_span_when_q_divides_the_degree():
+    # the fallback follows the chain's own field, named or not: the projector
+    # would need 1/n mod q
+    for word, normal in (((1, 1, 1), "0"), ((1, 2, 2), "2*[2,1,2]"), ((1, 2, 1), "2*[2,1,1]")):
+        chain = Chain(2, {word: 1}, 3)
+        own, named = canonical_l(chain), canonical_l(chain, 3)
+        assert own == named and hash(own) == hash(named)
+        assert own.method == named.method == "span"
+        assert render_chain(own.chain) == render_chain(named.chain) == normal
+        assert own.chain.char == 3
 
 
 def test_cleared_and_divided_are_inverse():

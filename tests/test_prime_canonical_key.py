@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swingwords.chains import Chain, accumulate
-from swingwords.moves import eta_word, fold_l_word, fold_prime, linear_extension
-from swingwords.quotients import PrimeCanonical, canonical_prime, g_image_key
+from swingwords.moves import eta_word, fold_l_word, fold_prime, linear_extension, linear_image
+from swingwords.quotients import PrimeCanonical, _g_image_scaled, canonical_prime
 from swingwords.textio import render_chain, render_tensor
 
 FIELDS = (None, 5, 7)
@@ -107,7 +107,7 @@ def test_rational_and_residue_keys_differ_unless_both_are_zero(case, q):
     if rational == residue:
         assert hash(rational) == hash(residue)
     # comparing and hashing read the integer key, not the divided image
-    assert rational._image is None and residue._image is None
+    assert rational._chain is None and residue._chain is None
 
 
 @given(chains(), st.integers(2, 7))
@@ -134,5 +134,8 @@ def test_residue_chain_with_q_dividing_n_minus_one_is_refused_whatever_its_image
         with pytest.raises(ZeroDivisionError, match=f"division by zero mod {q}"):
             canonical_prime(chain)
     # the relation's g-image is zero, and so is the single word's for 1^n
-    assert g_image_key(relation) == {}
-    assert (g_image_key(one) == {}) == (len(set(word)) == 1)
+    def scaled_image(chain):  # (n - 1) g(chain) mod q
+        return {w: r for w, v in linear_image(chain.terms, _g_image_scaled).items()
+                if (r := v % q)}
+    assert scaled_image(relation) == {}
+    assert (scaled_image(one) == {}) == (len(set(word)) == 1)

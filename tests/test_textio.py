@@ -102,3 +102,21 @@ def test_tensor_render_format():
     text = render_tensor(image)
     assert "(x)" in text and text.count("*([") == len(image.terms)
     assert render_tensor(canonical_prime(Chain.of_word(2, (1,))).image) == "0"
+
+
+@pytest.mark.parametrize("q", [5, 1_000_000_007])
+def test_characteristic_is_checked_once_per_parse(monkeypatch, q):
+    import swingwords.scalars
+
+    calls = []
+    is_prime = swingwords.scalars.is_prime
+    monkeypatch.setattr(swingwords.scalars, "is_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+
+    def checks(terms):
+        calls.clear()
+        text = " + ".join(f"{k + 2}/3*[{1 + k % 2},{2 - k % 2},{k % 3 + 1}]"
+                          for k in range(terms))
+        parse_chain(text, 3, q)
+        return len(calls)
+    assert checks(50) == checks(1) <= 2

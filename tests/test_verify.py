@@ -3,6 +3,8 @@ from itertools import count
 import pytest
 
 import swingwords.verify
+from swingwords.chains import Chain
+from swingwords.quotients import PrimeCanonical
 from swingwords.scalars import InputError
 from swingwords.verify import (Report, kernel_matches_relations, run_suite,
                                suite_exactness, suite_lemmas, suite_maxlen,
@@ -92,8 +94,8 @@ def test_sampled_tree_failing_twice_counts_once(monkeypatch):
     # every class differs and is nonzero, and the space is reported zero: each
     # sampled tree breaks both conditions of its check but is one failing case
     fresh = count(1)
-    monkeypatch.setattr(swingwords.verify, "_scaled_class",
-                        lambda tree, head=None, tail=None: ((next(fresh), 1),))
+    monkeypatch.setattr(swingwords.verify, "canonical_prime",
+                        lambda chain: PrimeCanonical(2, Chain(1, {(1, 1): next(fresh)})))
     monkeypatch.setattr(swingwords.verify, "rank_oracle", lambda *args: 0)
     report = suite_rho(max_bead_leaves=1, max_legs=7, p=1, exhaustive_legs=3,
                        samples_at_max=3)
