@@ -162,7 +162,13 @@ class Chain:
         return self._in_field({w: -c for w, c in self.terms.items()})
 
     def scale(self, coeff) -> "Chain":
+        """coeff times the chain; by 1 it is the chain itself, by -1 over Q a
+        termwise negation, the two signs every move comparison scales by."""
         coeff = field_coefficient(coeff, self.char)
+        if coeff == 1:
+            return self
+        if coeff == -1:  # over Q: a residue is never negative
+            return Chain._make(self.p, {w: -c for w, c in self.terms.items()})
         return self._in_field({w: v for w, c in self.terms.items() if (v := coeff * c)})
 
     def __mul__(self, other: "Chain") -> "Chain":

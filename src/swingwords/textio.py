@@ -52,12 +52,12 @@ _LETTER = re.compile(r"\d+")
 
 
 def _int(digits: str, what: str, position: int | None = None) -> int:
-    """int(digits), refusing a number longer than the interpreter converts,
-    at `position` if it is given."""
+    """int(digits) of decimal digits after an optional minus sign, refusing a
+    number longer than the interpreter converts, at `position` if it is given."""
     try:
         return int(digits)
     except ValueError:
-        message = (f"{what} has {len(digits)} digits; at most "
+        message = (f"{what} has {len(digits.lstrip('-'))} digits; at most "
                    f"{sys.get_int_max_str_digits()} are read")
         raise (InputError(message) if position is None
                else ChainSyntaxError(message, position)) from None

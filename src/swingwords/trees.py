@@ -13,28 +13,42 @@ Trees are compared through their stored vertex ordering; no graph-isomorphism
 canonicalization is attempted, and equality of diagram classes is always
 decided through the primed canonical form.
 
-Every walk runs over the neighbour map of `JacobiTree.incidence()`, which
-sends each vertex to {edge index: other end}. A swing word is read by
-rooting that map at the head, so each vertex knows its edge toward the head,
-and then walking once from the tail along those edges.
+Trees are hashable values: nothing mutates a JacobiTree after construction.
+Every walk runs over one structure view of the tree's shape, `_view(vertices,
+edges)`: the neighbour map, sending each vertex to {edge index: other end},
+and the parent map toward each root, each filled in when first asked for.
+The view depends on the vertex and edge tuples alone, and the last one is
+kept (`lru_cache(maxsize=1)`), so `validate`, `read_swingword`, every
+head/tail choice of one tree, its orientation swaps and its relabellings
+share one view. A swing word is read by taking the parent map toward the
+head, so each vertex knows its edge toward the head, and walking once from
+the tail along those edges. The view is not stored on the tree, which would
+keep one alive for every tree held.
+
+`validate` sets the tree's `_valid` flag and returns at once on a tree that
+has it. `as_swap` and `ihx_expand` copy the flag from their input (their
+outputs are trees whenever the input is one), so a tree is checked once,
+when it is loaded or built, and a move's outputs need no second walk.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .chains import Chain, Word, accumulate
+from .chains import Chain, Word, accumulate, check_word
 from .moves import MagmaTerm, check_magma, expand_word, magma_nodes
 from .quotients import PrimeCanonical, canonical_prime
-from .scalars import InputError
+from .scalars import InputError, field_coefficient
+from .textio import _int
 
 
 class JacobiTree:
     """A connected acyclic graph, every vertex of valence 1 or 3, univalent
     vertices labeled by letters, trivalent vertices cyclically oriented."""
 
-    __slots__ = ("vertices", "edges", "cyclic", "legs", "p")
+    __slots__ = ("vertices", "edges", "cyclic", "legs", "p", "_valid")
 
     def __init__(self, vertices, edges, cyclic, legs, p: int):
         self.vertices = tuple(vertices)
@@ -42,14 +56,12 @@ class JacobiTree:
         self.cyclic = {v: tuple(order) for v, order in cyclic.items()}
         self.legs = dict(legs)
         self.p = p
+        self._valid = False
 
     def incidence(self) -> dict[int, dict[int, int]]:
-        """Each vertex's neighbour map {edge index: other end}, in edge order."""
-        inc: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
-        for index, (u, v) in enumerate(self.edges):
-            inc[u][index] = v
-            inc[v][index] = u
-        return inc
+        """Each vertex's neighbour map {edge index: other end}, in edge order;
+        a fresh dict on every call."""
+        return _neighbours(self.vertices, self.edges)
 
     def leg_vertices(self) -> list[int]:
         """Legs in the stored vertex order."""
@@ -71,9 +83,50 @@ class JacobiTree:
         return f"JacobiTree(vertices={self.vertices}, edges={self.edges}, legs={self.legs})"
 
 
+def _neighbours(vertices, edges) -> dict[int, dict[int, int]]:
+    inc: dict[int, dict[int, int]] = {v: {} for v in vertices}
+    for index, (u, v) in enumerate(edges):
+        inc[u][index] = v
+        inc[v][index] = u
+    return inc
+
+
+class _View:
+    """The neighbour map of one tree shape and its parent maps toward the
+    roots asked for so far."""
+
+    __slots__ = ("inc", "_toward")
+
+    def __init__(self, vertices, edges):
+        self.inc = _neighbours(vertices, edges)
+        self._toward: dict[int, dict[int, int | None]] = {}
+
+    def toward(self, root: int) -> dict[int, int | None]:
+        """Each vertex reached from root mapped to its edge toward root (None
+        for the root)."""
+        parent_edge = self._toward.get(root)
+        if parent_edge is None:
+            parent_edge = self._toward[root] = {root: None}
+            frontier = [root]
+            while frontier:
+                x = frontier.pop()
+                for e, y in self.inc[x].items():
+                    if y not in parent_edge:
+                        parent_edge[y] = e
+                        frontier.append(y)
+        return parent_edge
+
+
+@lru_cache(maxsize=1)
+def _view(vertices: tuple, edges: tuple) -> _View:
+    return _View(vertices, edges)
+
+
 def validate(tree: JacobiTree) -> None:
     """Check every structural invariant; raises InputError naming the first
-    violated one."""
+    violated one. A tree that passed is flagged and not checked again."""
+    if tree._valid:
+        return
     if not tree.vertices:
         raise InputError("empty: tree has no vertices")
     if len(set(tree.vertices)) != len(tree.vertices):
@@ -90,14 +143,16 @@ def validate(tree: JacobiTree) -> None:
         if v not in tree.legs:
             raise InputError("label: degenerate vertex must be labeled")
         _check_letter(tree.legs[v], tree.p)
+        tree._valid = True
         return
     for u, v in tree.edges:
         if u not in known or v not in known:
             raise InputError(f"edges: edge ({u},{v}) references unknown vertex")
         if u == v:
             raise InputError("acyclic: self-loop")
-    inc = tree.incidence()
-    if len(_parent_edges(inc, tree.vertices[0])) != len(tree.vertices):
+    view = _view(tree.vertices, tree.edges)
+    inc = view.inc
+    if len(view.toward(tree.vertices[0])) != len(tree.vertices):
         raise InputError("connected: graph is not connected")
     if len(tree.edges) != len(tree.vertices) - 1:
         raise InputError("acyclic: graph contains a cycle")
@@ -117,20 +172,7 @@ def validate(tree: JacobiTree) -> None:
             order = tree.cyclic.get(v)
             if order is None or sorted(order) != sorted(inc[v]):
                 raise InputError(f"cyclic: vertex {v} needs a cyclic order of its 3 edges")
-
-
-def _parent_edges(inc: dict[int, dict[int, int]], root: int) -> dict[int, int | None]:
-    """Walk the neighbour map from root; map each vertex reached to the edge
-    it was reached by, the edge toward root (None for the root)."""
-    parent_edge = {root: None}
-    frontier = [root]
-    while frontier:
-        x = frontier.pop()
-        for e, y in inc[x].items():
-            if y not in parent_edge:
-                parent_edge[y] = e
-                frontier.append(y)
-    return parent_edge
+    tree._valid = True
 
 
 def _check_letter(letter, p):
@@ -151,7 +193,9 @@ def as_swap(tree: JacobiTree, vertex: int) -> tuple[JacobiTree, int]:
         raise InputError(f"vertex {vertex} is not trivalent")
     cyclic = dict(tree.cyclic)
     cyclic[vertex] = (order[1], order[0], order[2])
-    return JacobiTree(tree.vertices, tree.edges, cyclic, tree.legs, tree.p), -1
+    swapped = JacobiTree(tree.vertices, tree.edges, cyclic, tree.legs, tree.p)
+    swapped._valid = tree._valid
+    return swapped, -1
 
 
 def ihx_expand(tree: JacobiTree, edge_index: int) -> list[tuple[JacobiTree, int]]:
@@ -174,7 +218,9 @@ def ihx_expand(tree: JacobiTree, edge_index: int) -> list[tuple[JacobiTree, int]
         cyclic = dict(tree.cyclic)
         cyclic[u] = cyclic_u
         cyclic[v] = cyclic_v
-        return JacobiTree(tree.vertices, edges, cyclic, tree.legs, tree.p)
+        part = JacobiTree(tree.vertices, edges, cyclic, tree.legs, tree.p)
+        part._valid = tree._valid
+        return part
 
     # Locally the input reads ((A B) C) toward D; the replacements are
     # ((A C) B) and (A (B C)), the two other association patterns.
@@ -226,11 +272,29 @@ def to_vertebrate(tree: JacobiTree) -> Vertebrate:
 
 def _bead_term(tree: JacobiTree, inc: dict[int, dict[int, int]], vertex: int,
                entry_edge: int) -> MagmaTerm:
+    """The magma term of the subtree across entry_edge from vertex, built
+    with an explicit stack: a pair (vertex, edge) reads the subtree across
+    that edge, and None joins the last two terms read."""
+    legs = tree.legs
     child = inc[vertex][entry_edge]
-    if child in tree.legs:
-        return tree.legs[child]
-    first, second = _cyclic_after(tree, child, entry_edge)
-    return (_bead_term(tree, inc, child, first), _bead_term(tree, inc, child, second))
+    if child in legs:  # a single-leaf bead, the common case
+        return legs[child]
+    todo: list = [(vertex, entry_edge)]
+    built: list = []
+    while todo:
+        item = todo.pop()
+        if item is None:
+            right = built.pop()
+            built[-1] = (built[-1], right)
+            continue
+        parent, edge = item
+        child = inc[parent][edge]
+        if child in legs:
+            built.append(legs[child])
+        else:
+            first, second = _cyclic_after(tree, child, edge)
+            todo += (None, (child, second), (child, first))
+    return built[0]
 
 
 def read_swingword(v: Vertebrate) -> SwingWord:
@@ -246,8 +310,9 @@ def read_swingword(v: Vertebrate) -> SwingWord:
         raise InputError("head and tail coincide on a non-degenerate tree")
     if v.head not in tree.legs or v.tail not in tree.legs:
         raise InputError("head and tail must be legs")
-    inc = tree.incidence()
-    toward_head = _parent_edges(inc, v.head)
+    view = _view(tree.vertices, tree.edges)
+    inc = view.inc
+    toward_head = view.toward(v.head)
     beads = []
     sign = 1
     in_edge = toward_head[v.tail]
@@ -273,16 +338,20 @@ def is_swing(value) -> bool:
 def rho(sw: SwingWord, p: int) -> Chain:
     """Expand a swing word into the word algebra: tail letter, the commutator
     expansion of each bead in column order, head letter, all scaled by the
-    orientation sign."""
+    orientation sign. The bead leaves, the tail and the head are checked
+    once, so every word built is valid and the chain is made unchecked."""
     if sw.head is None:
         return Chain.of_word(p, (sw.tail,), sw.sign)
-    terms: dict[Word, int] = {(sw.tail,): sw.sign}
+    terms: dict[Word, object] = accumulate([((sw.tail,), field_coefficient(sw.sign))])
     for bead in sw.beads:
         check_magma(bead, p)
         expansion = expand_word(bead).items()
         terms = accumulate((w1 + w2, c1 * c2) for w1, c1 in terms.items()
                            for w2, c2 in expansion)
-    return Chain(p, {w + (sw.head,): c for w, c in terms.items()})
+    if p < 1:
+        raise InputError(f"alphabet bound must be >= 1, got {p}")
+    check_word((sw.tail, sw.head), p)
+    return Chain._make(p, {w + (sw.head,): c for w, c in terms.items()})
 
 
 def split_positions(sw: SwingWord) -> list[tuple[int, tuple[int, ...]]]:
@@ -397,7 +466,7 @@ def _int_keyed(value, what: str) -> dict:
 
 def tree_from_json(text: str, p: int | None = None) -> JacobiTree:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=lambda digits: _int(digits, "a number"))
     except ValueError as exc:  # malformed JSON, or a number past the digit limit
         raise InputError(f"invalid tree JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -439,7 +508,7 @@ def enumerate_topologies(num_legs: int) -> list[JacobiTree]:
     legs = {v: 1 for v in range(1, num_legs + 1)}
     trees = []
     for edges in shapes:
-        inc = JacobiTree(vertices, edges, {}, legs, 1).incidence()
+        inc = _neighbours(vertices, edges)
         cyclic = {v: tuple(at) for v, at in inc.items() if len(at) == 3}
         trees.append(JacobiTree(vertices, edges, cyclic, legs, 1))
     return trees

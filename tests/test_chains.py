@@ -108,6 +108,37 @@ def test_inexact_or_non_numeric_coefficients_refused(coeff):
             Chain(2, {(1, 2): 1}, char).scale(coeff)
 
 
+# each scalar's residue mod 5, worked by hand: -1 = 4 and 1/2 = 3 (2 * 3 = 6)
+SCALARS_MOD_5 = {1: 1, -1: 4, 2: 2, Fraction(1, 2): 3, 0: 0}
+SCALED_CHAINS = [
+    (None, {(1, 2): 3, (2, 1): -2, (1,): 1}),
+    (None, {(1, 2): Fraction(3, 4), (2, 1): -2, (2, 2, 1): Fraction(-1, 3)}),
+    (5, {(1, 2): 3, (2, 1): 4, (1,): 1}),
+]
+
+
+@pytest.mark.parametrize("char, terms", SCALED_CHAINS)
+@pytest.mark.parametrize("coeff", list(SCALARS_MOD_5))
+def test_scale_is_the_termwise_product_and_keeps_the_field(char, terms, coeff):
+    chain = Chain(2, terms, char)
+    if char is None:
+        expected = {w: coeff * c for w, c in terms.items() if coeff * c}
+    else:
+        expected = {w: SCALARS_MOD_5[coeff] * c % 5 for w, c in terms.items()
+                    if SCALARS_MOD_5[coeff] * c % 5}
+    scaled = chain.scale(coeff)
+    assert scaled.terms == expected and scaled.char == char and scaled.p == 2
+    assert scaled == Chain(2, expected, char)
+    assert chain.terms == terms  # the input is left as it was
+
+
+@pytest.mark.parametrize("coeff", [1.0, -1.0, 0.5])
+def test_scale_refuses_a_float_even_equal_to_a_sign(coeff):
+    for char in (None, 5):
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            Chain(2, {(1, 2): 1}, char).scale(coeff)
+
+
 def test_parsed_residue_chain_differs_from_its_rational_lift():
     residue, rational = parse_chain("2*[1,2]", 2, 5), Chain(2, {(1, 2): 2})
     assert residue != rational and len({residue, rational}) == 2

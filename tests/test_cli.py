@@ -432,7 +432,9 @@ def test_number_past_the_digit_limit_exits_two(tmp_path, capsys, argv, named, fm
         path.write_text('{"vertices": [1, 2], "edges": [[1, 2]], '
                         f'"legs": {{"1": {LONG}, "2": 2}}}}')
         argv = ("class", "--tree", str(path))
+        named += f": a number has {len(LONG)} digits"
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+    assert "set_int_max_str_digits" not in err

@@ -6,11 +6,12 @@ import pytest
 from swingwords.chains import Chain
 from swingwords.quotients import canonical_prime
 from swingwords.scalars import InputError
-from swingwords.trees import (JacobiTree, SwingWord, Vertebrate, as_swap,
+from swingwords.trees import (JacobiTree, SwingWord, Vertebrate, _view, as_swap,
                               diagram_class, enumerate_topologies, ihx_expand,
                               is_swing, read_swingword, relabel_legs, rho,
-                              rho_alt, split_positions, to_vertebrate,
+                              rho_alt, split_positions, to_vertebrate, tree_chain,
                               tree_from_json, tree_to_json, validate)
+from test_cli import _comb_tree
 
 
 def strut(a=1, b=2, p=2):
@@ -104,6 +105,18 @@ def test_rho_strut_and_bead():
 def test_rho_sign_scales():
     sw = SwingWord(tail=1, beads=(2,), head=1, sign=-1)
     assert rho(sw, 2) == Chain.of_word(2, (1, 2, 1), -1)
+
+
+@pytest.mark.parametrize("sw, p, message", [
+    (SwingWord(tail=3, beads=(1,), head=2), 2, r"letter 3 outside alphabet 1\.\.2"),
+    (SwingWord(tail=1, beads=(1, 2), head=0), 2, r"letter 0 outside alphabet 1\.\.2"),
+    (SwingWord(tail=3, beads=((1, 3),), head=2), 2, r"magma leaf 3 outside alphabet 1\.\.2"),
+    (SwingWord(tail=1, beads=(), head=2, sign=1.0), 2, "not an int or a Fraction"),
+    (SwingWord(tail=1, beads=(), head=1), 0, "alphabet bound must be >= 1"),
+])
+def test_rho_checks_letters_and_sign_before_making_its_chain(sw, p, message):
+    with pytest.raises(InputError, match=message):
+        rho(sw, p)
 
 
 def test_rho_alt_all_schedules_agree():
@@ -309,3 +322,109 @@ def test_read_swingword_matches_reference_reader_through_six_legs():
                     assert read_swingword(v) == _reference_read(v), (tree, head, tail)
                     reads += 1
     assert reads == 8 + 48 + 576 + 9600 + 201600
+
+
+def test_read_swingword_reads_a_deep_comb_bead_without_recursion():
+    depth = 1500
+    tree = _comb_tree(depth)
+    sw = read_swingword(Vertebrate(tree, 2, 1))
+    assert (sw.tail, sw.head, len(sw.beads)) == (2, 1, 1)
+    # the bead is (2, (2, ... (2, 1))): walked down here, since comparing
+    # tuples nested this deep would itself recurse
+    term = sw.beads[0]
+    for _ in range(depth):
+        assert isinstance(term, tuple) and term[0] == 2
+        term = term[1]
+    assert term == 1
+
+
+def _moves(tree):
+    """Every orientation swap and every internal-edge part of the tree."""
+    outputs = [as_swap(tree, vertex)[0] for vertex in sorted(tree.cyclic)]
+    for index, (u, v) in enumerate(tree.edges):
+        if u not in tree.legs and v not in tree.legs:
+            outputs.extend(part for part, _ in ihx_expand(tree, index))
+    return outputs
+
+
+def test_move_outputs_of_valid_trees_pass_the_full_check_through_seven_legs():
+    checked = 0
+    for legs in range(3, 8):
+        for shape in enumerate_topologies(legs):
+            tree = relabel_legs(shape, range(1, legs + 1), legs)
+            validate(tree)
+            for output in _moves(tree):
+                assert output._valid
+                output._valid = False  # so every check runs again
+                validate(output)
+                assert output._valid
+                checked += 1
+    # a shape with L legs has L - 2 trivalent vertices and L - 3 internal edges
+    assert checked == sum(count * ((legs - 2) + 2 * (legs - 3))
+                          for legs, count in ((3, 1), (4, 3), (5, 15), (6, 105), (7, 945)))
+
+
+def _invalid_trees():
+    four_legs = ([1, 2, 3, 4, 5, 6], [(1, 5), (5, 2), (5, 6), (6, 3), (6, 4)],
+                 {5: (0, 1, 2), 6: (2, 3, 4)})
+    return {
+        "letter outside the alphabet": JacobiTree(*four_legs, {1: 1, 2: 2, 3: 1, 4: 9}, 2),
+        "missing cyclic order": JacobiTree(four_legs[0], four_legs[1], {5: (0, 1, 2)},
+                                           {1: 1, 2: 2, 3: 1, 4: 2}, 2),
+        "cycle": JacobiTree([1, 2, 3], [(1, 2), (2, 3), (3, 1)], {}, {1: 1, 2: 1, 3: 1}, 1),
+        "unlabeled leg": JacobiTree([1, 2, 3, 4], [(1, 4), (2, 4), (3, 4)],
+                                    {4: (0, 1, 2)}, {1: 1, 2: 2}, 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_invalid_trees()))
+def test_hand_built_invalid_tree_raises_from_every_reader(name):
+    tree = _invalid_trees()[name]
+    for read in (to_vertebrate, tree_chain, diagram_class):
+        with pytest.raises(InputError):
+            read(tree)
+    assert not tree._valid
+
+
+def test_moves_of_an_unvalidated_tree_return_unflagged_trees():
+    bad = _invalid_trees()["letter outside the alphabet"]
+    for output in _moves(bad):
+        assert not output._valid
+        with pytest.raises(InputError, match="outside alphabet"):
+            to_vertebrate(output)
+    good = relabel_legs(enumerate_topologies(5)[0], [1, 2, 1, 2, 1], 2)
+    assert all(not output._valid for output in _moves(good))
+
+
+def _all_reads(tree):
+    return [read_swingword(Vertebrate(tree, head, tail))
+            for head, tail in permutations(tree.leg_vertices(), 2)]
+
+
+def test_reads_through_the_cached_view_match_reads_from_a_cleared_cache():
+    a = relabel_legs(enumerate_topologies(6)[7], range(1, 7), 6)
+    b = ihx_expand(a, next(i for i, (u, v) in enumerate(a.edges)
+                           if u not in a.legs and v not in a.legs))[0][0]
+    a_swapped = as_swap(a, sorted(a.cyclic)[0])[0]
+    assert a.vertices == b.vertices and a.edges != b.edges
+    sequence = (a, b, a, a_swapped)
+
+    def fresh(tree):
+        _view.cache_clear()
+        return _all_reads(tree)
+    expected = [fresh(tree) for tree in sequence]
+    _view.cache_clear()
+    assert [_all_reads(tree) for tree in sequence] == expected
+    assert expected[0] != expected[1] and expected[0] != expected[3]
+
+
+def test_mutating_the_incidence_map_changes_no_later_read():
+    tree = relabel_legs(enumerate_topologies(5)[3], range(1, 6), 5)
+    before = _all_reads(tree)
+    inc = tree.incidence()
+    for neighbours in inc.values():
+        neighbours.clear()
+    inc.clear()
+    assert _all_reads(tree) == before
+    assert tree.incidence() is not inc and tree.incidence() == _view(tree.vertices,
+                                                                       tree.edges).inc
