@@ -106,7 +106,7 @@ class _View:
         for the root)."""
         parent_edge = self._toward.get(root)
         if parent_edge is None:
-            parent_edge = self._toward[root] = {root: None}
+            parent_edge = {root: None}
             frontier = [root]
             while frontier:
                 x = frontier.pop()
@@ -114,6 +114,7 @@ class _View:
                     if y not in parent_edge:
                         parent_edge[y] = e
                         frontier.append(y)
+            self._toward[root] = parent_edge  # stored only once complete
         return parent_edge
 
 
