@@ -19,28 +19,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .chains import Multidegree, Word, accumulate
+from .chains import Multidegree, Word, accumulate, word_count
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
 from .quotients import _g_image_scaled
-from .scalars import InputError, ResourceLimitError
-
-DEFAULT_MAX_BLOCK = 2_000_000
+from .scalars import MAX_WORDS, InputError, ResourceLimitError
 
 
-def enum_words(m, max_block: int = DEFAULT_MAX_BLOCK) -> list[Word]:
+def enum_words(m) -> list[Word]:
     """All words with the given multidegree, in lexicographic order."""
     md = tuple(m)
     if not md or any(x < 0 for x in md):
         raise InputError(f"bad multidegree {m!r}")
-    total = sum(md)
-    count = factorial(total)
-    for x in md:
-        count //= factorial(x)
-    if count > max_block:
+    count = word_count(md)
+    if count > MAX_WORDS:
         raise ResourceLimitError(
-            f"multidegree {md} has {count} words, over the bound {max_block}")
+            f"multidegree {md} has {count} words, over the bound {MAX_WORDS}")
     letters = []
     for letter, x in enumerate(md, start=1):
         letters.extend([letter] * x)
@@ -229,20 +224,18 @@ def pattern_assignments(pattern: tuple[int, ...], p: int = 9) -> int:
     return count
 
 
-def section4_table(p: int = 9, n: int = 9) -> dict:
+def section4_table() -> dict:
     """Recompute every line of the degree-9 table and its grand total.
 
     Each line is checked as assignments(pattern) * per-assignment dimension
     against the printed aggregate, and the grand total against both the
     printed 5373540 and the closed formula.
     """
-    if (p, n) != (9, 9):
-        raise InputError("the tabulated computation is the degree-9, 9-letter one")
     lines = []
     grand = 0
     for pattern, printed in SECTION4_LINES:
         per = h_dim_multidegree(pattern)
-        ways = pattern_assignments(pattern, p)
+        ways = pattern_assignments(pattern)
         computed = ways * per
         grand += computed
         lines.append({
@@ -253,7 +246,7 @@ def section4_table(p: int = 9, n: int = 9) -> dict:
             "printed": printed,
             "match": computed == printed,
         })
-    formula_total = h_dim_total(n, p)
+    formula_total = h_dim_total(9, 9)
     return {
         "lines": lines,
         "grand_total": grand,

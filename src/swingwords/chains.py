@@ -19,15 +19,13 @@ divided once on the way out (`scalars.cleared`, `scalars.divided`).
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 from .scalars import InputError, check_characteristic, field_coefficient
 
 Word = tuple[int, ...]
 Multidegree = tuple[int, ...]
-
-EMPTY_WORD: Word = ()
-
 
 def check_word(word: Iterable[int], p: int) -> Word:
     w = tuple(word)
@@ -42,6 +40,14 @@ def word_multidegree(word: Word, p: int) -> Multidegree:
     for a in word:
         counts[a - 1] += 1
     return tuple(counts)
+
+
+def word_count(md) -> int:
+    """The number of words with letter counts md: a multinomial coefficient."""
+    count = factorial(sum(md))
+    for x in md:
+        count //= factorial(x)
+    return count
 
 
 def reverse_word(word: Word) -> Word:
@@ -65,7 +71,7 @@ class Chain:
     """A finite formal sum of words with exact coefficients in Q (char None)
     or in F_q (char q)."""
 
-    __slots__ = ("p", "terms", "char", "_frozen")
+    __slots__ = ("p", "terms", "char")
 
     def __init__(self, p: int, terms: Mapping[Word, object] | None = None,
                  char: int | None = None):
@@ -82,7 +88,6 @@ class Chain:
                     pruned[check_word(word, p)] = coeff
         self.terms = pruned
         self.char = char
-        self._frozen = None
 
     @classmethod
     def _make(cls, p: int, terms: dict[Word, object], char: int | None = None) -> "Chain":
@@ -92,7 +97,6 @@ class Chain:
         chain.p = p
         chain.terms = terms
         chain.char = char
-        chain._frozen = None
         return chain
 
     def _in_field(self, terms: dict[Word, object]) -> "Chain":
@@ -116,11 +120,6 @@ class Chain:
     def iter_terms(self) -> Iterator[tuple[Word, object]]:
         """Terms in the canonical order: by length, then lexicographically."""
         return iter(sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
-
-    def frozen(self) -> tuple:
-        if self._frozen is None:
-            self._frozen = tuple(self.iter_terms())
-        return self._frozen
 
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
@@ -190,7 +189,7 @@ class Chain:
         return self.p == other.p and self.char == other.char and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.p, self.char, self.frozen()))
+        return hash((self.p, self.char, frozenset(self.terms.items())))
 
     def __repr__(self):
         from .textio import render_chain

@@ -20,7 +20,7 @@ from .quotients import canonical_l, canonical_prime
 from .scalars import InputError, ResourceLimitError, check_characteristic
 from .textio import parse_chain, parse_swingword, render_chain, render_tensor
 from .trees import diagram_class, rho, tree_from_json
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITES, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "json"), default="json")
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", choices=SUITE_NAMES, required=True)
+    sp.add_argument("--suite", choices=tuple(SUITES), required=True)
     sp.add_argument("--max-degree", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--format", choices=("text", "json"), default="text")

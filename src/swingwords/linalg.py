@@ -125,23 +125,3 @@ def row_space(rows, char: int | None = None) -> RowSpace:
 def rank(rows, char: int | None = None) -> int:
     return row_space(rows, char).rank
 
-
-def kernel_basis(rows: list[dict], columns: list, char: int | None = None) -> list[dict]:
-    """Basis of the right kernel of the matrix whose rows are given.
-
-    Columns not listed are treated as absent (zero). The result is one row dict
-    per free column, in reduced form with free coordinate 1.
-    """
-    space = row_space(rows, char)
-    echelon = dict(zip(sorted(space.pivots), space.rows()))
-    basis = []
-    for free in columns:
-        if free in echelon:
-            continue
-        vec = {free: 1}
-        for col, row in echelon.items():
-            coeff = row.get(free, 0)
-            if coeff:
-                vec[col] = -coeff if char is None else (-coeff) % char
-        basis.append(vec)
-    return basis

@@ -7,10 +7,11 @@ shared across coefficient modes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Union
 
-from .chains import Chain, Word, accumulate
-from .scalars import InputError, cleared, divided
+from .chains import Chain, Word, accumulate, word_count
+from .scalars import MAX_WORDS, InputError, check_work, cleared, divided
 
 MagmaTerm = Union[int, tuple]
 # A magma term is a letter (leaf) or a pair (left, right) of magma terms:
@@ -26,7 +27,9 @@ def eta_word(word: Word) -> dict[Word, int]:
     """eta on a single word, as an integer-coefficient term dict.
 
     eta(a1..an) = an * eta(a1..a_{n-1}) - eta(a1..a_{n-1}) * an, with a single
-    letter fixed and the empty word sent to zero.
+    letter fixed and the empty word sent to zero. A word whose eta may have
+    more than MAX_WORDS terms (`expansion_bound`) is refused before any is
+    built.
     """
     cached = _ETA_MEMO.get(word)
     if cached is not None:
@@ -37,6 +40,8 @@ def eta_word(word: Word) -> dict[Word, int]:
     elif n == 1:
         result = {word: 1}
     else:
+        if 1 << (n - 1) > MAX_WORDS:
+            check_work(expansion_bound(word), f"eta of a degree-{n} word")
         last = word[-1:]
         prefix = eta_word(word[:-1]).items()
         result = accumulate((last + w, c) for w, c in prefix)
@@ -120,15 +125,26 @@ def magma_nodes(term: MagmaTerm, path: tuple[int, ...] = ()) -> list[tuple[int, 
     return [path] + magma_nodes(left, path + (0,)) + magma_nodes(right, path + (1,))
 
 
-def check_magma(term: MagmaTerm, p: int) -> MagmaTerm:
-    for a in magma_leaves(term):
+def check_magma(term: MagmaTerm, p: int) -> tuple[int, ...]:
+    """The leaves of a magma term, each checked to be a letter of 1..p."""
+    leaves = magma_leaves(term)
+    for a in leaves:
         if not isinstance(a, int) or not 1 <= a <= p:
             raise InputError(f"magma leaf {a!r} outside alphabet 1..{p}")
-    return term
+    return leaves
+
+
+def expansion_bound(leaves) -> int:
+    """The most terms the commutator expansion of a magma term over these
+    leaves can have, and so eta of a word over these letters: each bracket
+    at most doubles them, and there is at most one per word that uses exactly
+    these leaves."""
+    return min(1 << (len(leaves) - 1), word_count(Counter(leaves).values()))
 
 
 def expand_word(term: MagmaTerm) -> dict[Word, int]:
-    """Commutator expansion of a magma term as an integer term dict."""
+    """Commutator expansion of a magma term as an integer term dict; a node
+    whose bracket would build more than MAX_WORDS terms is refused."""
     cached = _EXPAND_MEMO.get(term)
     if cached is not None:
         return cached
@@ -136,6 +152,7 @@ def expand_word(term: MagmaTerm) -> dict[Word, int]:
         result = {(term,): 1}
     else:
         left, right = expand_word(term[0]), expand_word(term[1]).items()
+        check_work(2 * len(left) * len(right), "the expansion of a magma term")
         pairs = [(w1, w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right]
         result = accumulate((w1 + w2, c) for w1, w2, c in pairs)
         accumulate(((w2 + w1, -c) for w1, w2, c in pairs), result)

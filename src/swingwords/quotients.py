@@ -38,19 +38,19 @@ divides n, and the span reads residues on entry to the row reduction.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import gcd
 from typing import Iterable, Literal
 
-from .chains import Chain, Multidegree, Word, accumulate, word_multidegree
+from .chains import Chain, Multidegree, Word, accumulate, word_count, word_multidegree
 from .linalg import RowSpace
 from .moves import (eta_word, fold_l, fold_l_word, fold_prime_word, linear_extension,
                     linear_image, shared_words)
-from .scalars import InputError, ResourceLimitError, check_characteristic, cleared, divided
+from .scalars import (MAX_WORDS, InputError, ResourceLimitError, check_characteristic,
+                      check_work, cleared, divided)
 
 Family = Literal["l", "prime"]
-
-DEFAULT_MAX_WORDS = 2_000_000
 
 _SPAN_MEMO: dict[tuple, "RelationSpan"] = {}
 _PRIME_IMAGE_MEMO: dict[Word, dict[Word, int]] = {}
@@ -164,7 +164,7 @@ class RelationSpan:
     """
 
     def __init__(self, degree: int, p: int, family: Family, char: int | None = None,
-                 max_words: int = DEFAULT_MAX_WORDS):
+                 max_words: int = MAX_WORDS):
         if degree < 1 or p < 1:
             raise InputError("degree and alphabet bound must be >= 1")
         if family not in ("l", "prime"):
@@ -259,7 +259,7 @@ def _appended(blocks: dict[Multidegree, RowSpace], p: int,
 
 
 def relation_span(degree: int, p: int, family: Family, char: int | None = None,
-                  max_words: int = DEFAULT_MAX_WORDS) -> RelationSpan:
+                  max_words: int = MAX_WORDS) -> RelationSpan:
     """Memoized relation span; repeated requests return the same object."""
     key = (degree, p, family, char)
     span = _SPAN_MEMO.get(key)
@@ -331,6 +331,10 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     costs about n 2^(n-2) dict updates, where running g' on each of the
     2^(n-2) words of the fold takes 4^(n-2). A single letter gets image 0,
     as eta of the empty word is 0; the empty word itself is refused.
+
+    A word builds at most n 2^(n-2) terms here, counting g'(w), and at most
+    2(n - 1) per word with its letters; past MAX_WORDS it is refused before
+    any is built.
     """
     cached = _PRIME_IMAGE_MEMO.get(word)
     if cached is not None:
@@ -338,6 +342,9 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     n = len(word)
     if n == 0:
         raise InputError("the empty word has no tensor image")
+    if n > 1 and n << (n - 2) > MAX_WORDS:
+        check_work(min(n << (n - 2), 2 * (n - 1) * word_count(Counter(word).values())),
+                   f"the g-image of a degree-{n} word")
     terms = [(v + word[:1], d) for v, d in eta_word(word[1:][::-1]).items()]
     for k in range(2, n):
         a = word[k - 1:k]

@@ -26,6 +26,19 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because it exceeds the configured size bound."""
 
 
+# the most words one block enumerates, and the most terms one step of a word
+# map builds
+MAX_WORDS = 2_000_000
+
+
+def check_work(count: int, what: str) -> None:
+    """Refuse a step that would build more than MAX_WORDS terms, before it
+    builds any."""
+    if count > MAX_WORDS:
+        raise ResourceLimitError(f"{what} would build up to {count} terms, "
+                                 f"over the bound {MAX_WORDS}")
+
+
 # Miller-Rabin with the prime bases 2..41 decides primality exactly below
 # PRIMALITY_BOUND, the least strong pseudoprime to all of them (Sorenson and
 # Webster, Math. Comp. 86, 2017)

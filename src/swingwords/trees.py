@@ -26,9 +26,10 @@ the tail along those edges. The view is not stored on the tree, which would
 keep one alive for every tree held.
 
 `validate` sets the tree's `_valid` flag and returns at once on a tree that
-has it. `as_swap` and `ihx_expand` copy the flag from their input (their
-outputs are trees whenever the input is one), so a tree is checked once,
-when it is loaded or built, and a move's outputs need no second walk.
+has it. `as_swap`, `ihx_expand` and `relabel_legs` copy the flag from their
+input (their outputs are trees whenever the input is one; `relabel_legs`
+checks the new letters), so a tree is checked once, when it is loaded or
+built, and a move's or a relabelling's outputs need no second walk.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chains import Chain, Word, accumulate, check_word
-from .moves import MagmaTerm, check_magma, expand_word, magma_nodes
+from .moves import MagmaTerm, check_magma, expand_word, expansion_bound, magma_nodes
 from .quotients import PrimeCanonical, canonical_prime
-from .scalars import InputError, field_coefficient
+from .scalars import MAX_WORDS, InputError, check_work, field_coefficient
 from .textio import _int
 
 
@@ -340,12 +341,16 @@ def rho(sw: SwingWord, p: int) -> Chain:
     """Expand a swing word into the word algebra: tail letter, the commutator
     expansion of each bead in column order, head letter, all scaled by the
     orientation sign. The bead leaves, the tail and the head are checked
-    once, so every word built is valid and the chain is made unchecked."""
+    once, so every word built is valid and the chain is made unchecked.
+    Before each bead is expanded and multiplied in, the terms that step can
+    build are bounded by `expansion_bound`, and past MAX_WORDS refused."""
     if sw.head is None:
         return Chain.of_word(p, (sw.tail,), sw.sign)
     terms: dict[Word, object] = accumulate([((sw.tail,), field_coefficient(sw.sign))])
     for bead in sw.beads:
-        check_magma(bead, p)
+        leaves = check_magma(bead, p)
+        if len(terms) << (len(leaves) - 1) > MAX_WORDS:
+            check_work(len(terms) * expansion_bound(leaves), "rho of the swing word")
         expansion = expand_word(bead).items()
         terms = accumulate((w1 + w2, c1 * c2) for w1, c1 in terms.items()
                            for w2, c2 in expansion)
@@ -364,61 +369,34 @@ def split_positions(sw: SwingWord) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def rho_alt(sw: SwingWord, schedule, p: int) -> Chain:
-    """Stepwise breakdown in the scheduled order of bead nodes; every
-    admissible schedule reproduces rho exactly."""
-    required = split_positions(sw)
+    """Stepwise breakdown in the scheduled order of bead nodes: each split
+    doubles the terms, one keeping the node's two halves in order and one,
+    with the sign flipped, reversing them. A term is a sign and the
+    orientation chosen at each split, in schedule order; each bead is
+    flattened once at the end. Every admissible schedule reproduces rho."""
     given = list(schedule)
-    if sorted(given) != sorted(required):
+    if sorted(given) != sorted(split_positions(sw)):
         raise InputError("schedule must cover every non-leaf bead node exactly once")
     if sw.head is None:
         return Chain.of_word(p, (sw.tail,), sw.sign)
     for bead in sw.beads:
         check_magma(bead, p)
+    terms = [(sw.sign, ())]
+    for _ in given:
+        terms = [term for sign, flips in terms
+                 for term in ((sign, flips + (False,)), (-sign, flips + (True,)))]
+    step = {position: i for i, position in enumerate(given)}
 
-    def to_state(term):
-        if isinstance(term, int):
-            return term
-        return ["n", to_state(term[0]), to_state(term[1])]
-
-    def split_at(node, path):
-        if not path:
-            if not (isinstance(node, list) and node[0] == "n"):
-                raise InputError("schedule addresses a node that is not splittable")
-            return (["s", node[1], node[2], False], ["s", node[1], node[2], True])
-        if not isinstance(node, list):
-            raise InputError("schedule addresses a missing node")
-        step = path[0]
-        child_plus, child_minus = split_at(node[1 + step], path[1:])
-        plus = node[:]
-        plus[1 + step] = child_plus
-        minus = node[:]
-        minus[1 + step] = child_minus
-        return plus, minus
-
-    terms = [(sw.sign, [to_state(b) for b in sw.beads])]
-    for bead_index, path in given:
-        next_terms = []
-        for sign, beads in terms:
-            plus, minus = split_at(beads[bead_index], path)
-            beads_plus = list(beads)
-            beads_plus[bead_index] = plus
-            beads_minus = list(beads)
-            beads_minus[bead_index] = minus
-            next_terms.append((sign, beads_plus))
-            next_terms.append((-sign, beads_minus))
-        terms = next_terms
-
-    def flatten(node) -> tuple[int, ...]:
+    def flatten(flips, index: int, node, path=()) -> Word:
         if isinstance(node, int):
             return (node,)
-        tag, left, right, flipped = node
-        a, b = flatten(left), flatten(right)
-        return b + a if flipped else a + b
+        left = flatten(flips, index, node[0], path + (0,))
+        right = flatten(flips, index, node[1], path + (1,))
+        return right + left if flips[step[index, path]] else left + right
 
-    def word_of(beads) -> Word:
-        return (sw.tail,) + sum((flatten(node) for node in beads), ()) + (sw.head,)
-
-    return Chain(p, accumulate((word_of(beads), sign) for sign, beads in terms))
+    return Chain(p, accumulate(
+        ((sw.tail,) + sum((flatten(flips, i, b) for i, b in enumerate(sw.beads)), ())
+         + (sw.head,), sign) for sign, flips in terms))
 
 
 def tree_chain(tree: JacobiTree, head: int | None = None, tail: int | None = None) -> Chain:
@@ -516,10 +494,15 @@ def enumerate_topologies(num_legs: int) -> list[JacobiTree]:
 
 
 def relabel_legs(tree: JacobiTree, letters, p: int) -> JacobiTree:
-    """Assign the given letters to the legs in stored vertex order."""
+    """Assign the given letters to the legs in stored vertex order. The
+    letters are checked, so the result keeps the input's `_valid` flag."""
     legs = tree.leg_vertices()
     letters = list(letters)
     if len(letters) != len(legs):
         raise InputError(f"need {len(legs)} letters, got {len(letters)}")
-    return JacobiTree(tree.vertices, tree.edges, tree.cyclic,
-                      dict(zip(legs, letters)), p)
+    for letter in letters:
+        _check_letter(letter, p)
+    relabelled = JacobiTree(tree.vertices, tree.edges, tree.cyclic,
+                            dict(zip(legs, letters)), p)
+    relabelled._valid = tree._valid
+    return relabelled

@@ -17,15 +17,13 @@ from itertools import combinations, permutations, product, starmap
 from .bases import ell_ranks
 from .chains import Chain, Word, word_multidegree
 from .dims import h_dim_total, rank_oracle, witt_total
-from .linalg import RowSpace, kernel_basis
-from .moves import eta, eta_word, fold_l
+from .linalg import RowSpace, row_space
+from .moves import eta, eta_word, fold_l, linear_image
 from .quotients import (PrimeCanonical, canonical_l, canonical_prime, choose_head_by_letter,
                         g_map, relation_span)
 from .scalars import InputError
 from .trees import (SwingWord, as_swap, diagram_class, enumerate_topologies, ihx_expand,
-                    relabel_legs, rho, rho_alt, split_positions, tree_chain)
-
-SUITE_NAMES = ("lemmas", "exactness", "rho", "maxlen")
+                    relabel_legs, rho, rho_alt, split_positions, tree_chain, validate)
 
 
 @dataclass
@@ -245,30 +243,19 @@ def suite_lemmas(max_total: int = 6, p: int = 3, spot_degree: int = 7,
 
 
 def kernel_matches_relations(n: int, p: int) -> bool:
-    """ker(eta) on degree-n chains equals the left relation span, as row
-    spaces, block by multidegree."""
+    """ker(eta) on degree-n chains equals the left relation span, block by
+    multidegree: every stored relation row dies under eta, so the span lies
+    in the kernel, and the span's rank plus the rank of eta's image is the
+    number of words, so the two have one dimension."""
     span = relation_span(n, p, "l")
     by_md: dict = {}
     for w in _words(p, n):
         by_md.setdefault(word_multidegree(w, p), []).append(w)
-    for md, words in sorted(by_md.items()):
-        # matrix of eta with source words as columns: row per target word
-        transposed = []
-        for w in words:
-            row = {}
-            for w2 in words:
-                c = eta_word(w2).get(w, 0)
-                if c:
-                    row[w2] = c
-            transposed.append(row)
-        kernel = RowSpace()
-        for vec in kernel_basis(transposed, words):
-            kernel.insert(vec)
+    for md, words in by_md.items():
         block = span.blocks[md]
-        rel = RowSpace()
-        for row in block.rows():
-            rel.insert(dict(row))
-        if kernel != rel:
+        if any(linear_image(row, eta_word) for row in block.pivots.values()):
+            return False
+        if block.rank + row_space(eta_word(w) for w in words).rank != len(words):
             return False
     return True
 
@@ -347,13 +334,12 @@ def _all_bead_tuples(total: int, p: int):
                 yield (bead,) + rest
 
 
-def _head_tail_agreements(trees):
-    """For each tree and each of its (head, tail) leg choices, whether the
-    choice gives the class of the tree's first choice."""
-    for tree in trees:
-        legs = tree.leg_vertices()
-        classes = [canonical_prime(tree_chain(tree, h, t)) for h in legs for t in legs if h != t]
-        yield from (c == classes[0] for c in classes)
+def _head_tail_classes(tree) -> list:
+    """The class of the tree read from each (head, tail) leg choice; the
+    first choice is `to_vertebrate`'s, so the first class is the tree's
+    `diagram_class`."""
+    legs = tree.leg_vertices()
+    return [canonical_prime(tree_chain(tree, h, t)) for h in legs for t in legs if h != t]
 
 
 def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
@@ -377,15 +363,31 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
 
     shapes = {legs: enumerate_topologies(legs) for legs in range(3, max_legs + 1)}
 
-    def labelled(lo: int):
-        """Every shape with lo..exhaustive_legs legs, under every lettering."""
-        for legs in range(lo, exhaustive_legs + 1):
-            for shape in shapes[legs]:
-                for letters in product(range(1, p + 1), repeat=legs):
-                    yield relabel_legs(shape, letters, p)
-
+    # one walk over every shape with 3..exhaustive_legs legs, checked once,
+    # under every lettering: each tree's first head/tail class is the base
+    # that its other choices, its orientation swaps and its edge expansions match
+    agreements, swaps, expansions = [], [], []
+    for legs in range(3, exhaustive_legs + 1):
+        for shape in shapes[legs]:
+            validate(shape)  # relabel_legs passes the flag on
+            for letters in product(range(1, p + 1), repeat=legs):
+                tree = relabel_legs(shape, letters, p)
+                classes = _head_tail_classes(tree)
+                base = classes[0]
+                agreements += (c == base for c in classes)
+                for vertex in sorted(tree.cyclic):
+                    swapped, sign = as_swap(tree, vertex)
+                    swaps.append(canonical_prime(tree_chain(swapped).scale(sign)) == base)
+                for index, (u, v) in enumerate(tree.edges):
+                    if u in tree.legs or v in tree.legs:
+                        continue
+                    # canonical_prime is linear, so the sum of the parts'
+                    # chains has the sum of their classes
+                    merged = sum((tree_chain(part).scale(coeff)
+                                  for part, coeff in ihx_expand(tree, index)), Chain.zero(p))
+                    expansions.append(canonical_prime(merged) == base)
     report.tally(f"head/tail choices agree exhaustively through {exhaustive_legs} legs "
-                 f"(p={p})", "choices", _head_tail_agreements(labelled(3)))
+                 f"(p={p})", "choices", agreements)
 
     if max_legs >= 7:
         dim7 = rank_oracle(7, p, "prime")
@@ -412,34 +414,18 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
     # all-distinct-letter run at 6 legs: a nonvacuous space, and agreement for
     # distinct letters implies it for every specialization (moves are positional)
     distinct_legs = min(6, max_legs)
+
+    def distinct_agree():
+        for shape in shapes[distinct_legs]:
+            classes = _head_tail_classes(relabel_legs(shape, range(1, distinct_legs + 1),
+                                                      distinct_legs))
+            yield from (c == classes[0] for c in classes)
     report.tally(f"head/tail choices agree on all {distinct_legs}-leg shapes "
-                 "with distinct letters", "choices",
-                 _head_tail_agreements(relabel_legs(shape, range(1, distinct_legs + 1),
-                                                    distinct_legs)
-                                       for shape in shapes[distinct_legs]))
-
-    def swaps_negate():
-        for tree in labelled(3):
-            base = diagram_class(tree)
-            for vertex in sorted(tree.cyclic):
-                swapped, sign = as_swap(tree, vertex)
-                yield canonical_prime(tree_chain(swapped).scale(sign)) == base
+                 "with distinct letters", "choices", distinct_agree())
     report.tally(f"orientation swaps negate the class (through {exhaustive_legs} legs, "
-                 f"p={p})", "swaps", swaps_negate())
-
-    def expansions_sum():
-        for tree in labelled(4):
-            base = diagram_class(tree)
-            for index, (u, v) in enumerate(tree.edges):
-                if u in tree.legs or v in tree.legs:
-                    continue
-                # canonical_prime is linear, so the sum of the parts' chains
-                # has the sum of their classes
-                merged = sum((tree_chain(part).scale(coeff)
-                              for part, coeff in ihx_expand(tree, index)), Chain.zero(p))
-                yield canonical_prime(merged) == base
+                 f"p={p})", "swaps", swaps)
     report.tally(f"internal-edge expansions sum to the class (through "
-                 f"{exhaustive_legs} legs, p={p})", "expansions", expansions_sum())
+                 f"{exhaustive_legs} legs, p={p})", "expansions", expansions)
 
     report.tally("word to swing to word round trip is the identity", "words",
                  (rho(SwingWord(tail=w[0], beads=tuple(w[1:-1]), head=w[-1]), p)
@@ -477,30 +463,26 @@ def suite_maxlen(chars: tuple[int, ...] = (3, 5), p: int = 2,
     return report
 
 
-# suite -> size parameter -> smallest accepted value. Below it at least one
-# exhaustive family of checks that the parameter bounds is empty, and the suite
-# would check no case. A few smaller families are still empty at these
-# minimums and read SKIP: the lemmas' equal-length pairs below max_total 4, and
-# the rho suite's edge expansions and comparator trees below 4 legs.
-_SIZE_MINIMUMS = {
-    "lemmas": {"max_total": 3, "p": 1},
-    "exactness": {"max_degree": 2, "p_max": 1, "kernel_max_degree": 1},
-    "rho": {"max_bead_leaves": 1, "max_legs": 3, "p": 1, "exhaustive_legs": 3},
-    "maxlen": {"p": 1, "max_degree": 1},
+# suite -> (suite function, size parameter -> smallest accepted value). Below
+# a minimum at least one exhaustive family of checks that the parameter bounds
+# is empty, and the suite would check no case. A few smaller families are
+# still empty at these minimums and read SKIP: the lemmas' equal-length pairs
+# below max_total 4, and the rho suite's edge expansions and comparator trees
+# below 4 legs.
+SUITES = {
+    "lemmas": (suite_lemmas, {"max_total": 3, "p": 1}),
+    "exactness": (suite_exactness, {"max_degree": 2, "p_max": 1, "kernel_max_degree": 1}),
+    "rho": (suite_rho, {"max_bead_leaves": 1, "max_legs": 3, "p": 1, "exhaustive_legs": 3}),
+    "maxlen": (suite_maxlen, {"p": 1, "max_degree": 1}),
 }
 
 
 def run_suite(name: str, **params) -> Report:
-    for param, minimum in _SIZE_MINIMUMS.get(name, {}).items():
+    if name not in SUITES:
+        raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    suite, minimums = SUITES[name]
+    for param, minimum in minimums.items():
         if params.get(param, minimum) < minimum:
             raise InputError(f"suite {name} needs {param} >= {minimum}; "
                              f"at {params[param]} some of its checks run over no case")
-    if name == "lemmas":
-        return suite_lemmas(**params)
-    if name == "exactness":
-        return suite_exactness(**params)
-    if name == "rho":
-        return suite_rho(**params)
-    if name == "maxlen":
-        return suite_maxlen(**params)
-    raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    return suite(**params)

@@ -20,7 +20,7 @@ def test_enum_words_examples():
 
 def test_enum_words_resource_guard():
     with pytest.raises(ResourceLimitError):
-        enum_words((20, 20), max_block=100)
+        enum_words((20, 20))
 
 
 def test_lie_basis_small():

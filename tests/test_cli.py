@@ -7,7 +7,7 @@ import pytest
 import swingwords.dims
 from swingwords.cli import main
 from swingwords.textio import render_chain, render_tensor
-from swingwords.trees import JacobiTree, tree_to_json
+from swingwords.trees import JacobiTree, relabel_legs, tree_to_json
 from swingwords.quotients import canonical_l, canonical_prime
 from swingwords.chains import Chain
 
@@ -411,6 +411,54 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: input nested too deeply; nesting depth")
         assert "Traceback" not in err
+
+
+def _word(n: int) -> str:
+    return "[" + ",".join(str(a) for a in range(1, n + 1)) + "]"
+
+
+def _comb(letters) -> str:
+    term = str(letters[0])
+    for a in letters[1:]:
+        term = f"({term} {a})"
+    return term
+
+
+@pytest.mark.parametrize("argv", [
+    ("eta", "-p", "22", "--chain", _word(22)),
+    ("reduce", "--space", "prime", "-p", "19", "--chain", _word(19)),
+    # one comb bead over 24 distinct letters, then two beads of 12 whose
+    # expansions are small but whose product is not
+    ("rho", "-p", "26", "--swingword", f"<1 | {_comb(range(2, 26))} | 26>"),
+    ("rho", "-p", "26", "--swingword", f"<1 | {_comb(range(2, 14))} {_comb(range(14, 26))} | 26>"),
+    "class",
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_work_past_the_word_bound_exits_two_quickly(tmp_path, capsys, argv, fmt):
+    if argv == "class":
+        # the bead of a 23-level comb carries 24 leaves; every leg gets its own letter
+        tree = _comb_tree(23)
+        path = tmp_path / "comb.json"
+        path.write_text(tree_to_json(relabel_legs(tree, range(1, 27), 26)))
+        argv = ("class", "--tree", str(path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("terms, over the bound 2000000\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("space", ["eta", "l", "prime"])
+def test_long_word_with_few_arrangements_is_not_refused(capsys, space):
+    # 40 letters, but only 40 words use them: the bound reads letters, not length
+    chain = "[2" + ",1" * 39 + "]"
+    argv = ("eta",) if space == "eta" else ("reduce", "--space", space)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "-p", "2", "--chain", chain)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert out.count("*[") <= 2 * 40
 
 
 LONG = "1" * (sys.get_int_max_str_digits() + 700)

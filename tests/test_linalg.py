@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from swingwords.linalg import RowSpace, kernel_basis, rank, row_space
+from swingwords.linalg import RowSpace, rank, row_space
 
 
 def test_rank_and_reduce():
@@ -43,19 +43,6 @@ def test_modular_arithmetic():
     space.insert({0: 2, 1: 1})
     assert space.reduce({0: 4, 1: 2}) == {}
     assert space.reduce({0: 1}) != {}
-
-
-def test_kernel_basis():
-    rows = [{0: 1, 1: 1, 2: 1}]
-    kernel = kernel_basis(rows, [0, 1, 2])
-    assert len(kernel) == 2
-    for vec in kernel:
-        assert sum(vec.get(c, 0) for c in (0, 1, 2)) == 0
-
-
-def test_kernel_of_full_rank_matrix_is_empty():
-    rows = [{0: 1}, {1: 1}]
-    assert kernel_basis(rows, [0, 1]) == []
 
 
 # Differential check of the fraction-free elimination against a plain
@@ -104,17 +91,6 @@ def _ref_rref(rows):
     return pivots, flags
 
 
-def _ref_kernel(pivots):
-    basis = []
-    for free in COLUMNS:
-        if free not in pivots:
-            vec = {free: 1}
-            vec.update({col: -row[free] for col, row in sorted(pivots.items())
-                        if row.get(free)})
-            basis.append(vec)
-    return basis
-
-
 def _integral_values_are_ints(row):
     return all(isinstance(v, int) or v.denominator != 1 for v in row.values())
 
@@ -152,8 +128,3 @@ def test_equality_matches_reference_across_orders(rows, rng, others):
     same = _ref_rref(rows)[0] == _ref_rref(others)[0]
     assert (row_space(rows) == row_space(others)) == same
 
-
-@settings(max_examples=150, deadline=None)
-@given(row_lists)
-def test_kernel_basis_matches_reference(rows):
-    assert kernel_basis(rows, COLUMNS) == _ref_kernel(_ref_rref(rows)[0])

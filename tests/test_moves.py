@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from swingwords.chains import Chain
 from swingwords.moves import (commutator_expand, eta, eta_comb, fold_l,
                               fold_prime, magma_leaves)
+from swingwords.scalars import ResourceLimitError
 
 
 def chain_of(p, terms):
@@ -67,6 +68,14 @@ def test_commutator_expand_multidegree_is_leaf_multiset():
     for a in magma_leaves(term):
         counts[a - 1] += 1
     assert chain.multidegree() == tuple(counts)
+
+
+def test_expansion_past_the_word_bound_is_refused():
+    # each 12-leaf comb over distinct letters expands to 2^11 words, so their
+    # bracket would build 2 * 2^22 terms
+    left, right = eta_comb(tuple(range(1, 13))), eta_comb(tuple(range(13, 25)))
+    with pytest.raises(ResourceLimitError, match="over the bound 2000000"):
+        commutator_expand((left, right), 24)
 
 
 def test_left_comb_reproduces_eta():

@@ -230,6 +230,27 @@ def test_relabel_legs():
     assert [tree.legs[v] for v in tree.leg_vertices()] == [2, 1, 2, 1]
 
 
+def test_relabel_legs_keeps_the_flag_of_its_input():
+    shape = enumerate_topologies(5)[2]
+    assert not relabel_legs(shape, (1, 2, 1, 2, 1), 2)._valid
+    validate(shape)
+    tree = relabel_legs(shape, (1, 2, 1, 2, 1), 2)
+    assert tree._valid
+    tree._valid = False
+    validate(tree)  # the full check agrees with the carried flag
+
+
+@pytest.mark.parametrize("validated", [False, True])
+@pytest.mark.parametrize("letters, p", [((1, 2, 3, 1), 2), ((0, 1, 1, 1), 2),
+                                        ((1, 1, 1, 1), 0)])
+def test_relabel_legs_refuses_a_letter_outside_the_alphabet(validated, letters, p):
+    shape = enumerate_topologies(4)[1]
+    if validated:
+        validate(shape)
+    with pytest.raises(InputError, match="outside alphabet"):
+        relabel_legs(shape, letters, p)
+
+
 def test_head_tail_choice_is_class_invariant():
     for shape in enumerate_topologies(4):
         for letters in product((1, 2), repeat=4):

@@ -1,10 +1,13 @@
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
 import swingwords.verify
 from swingwords.chains import Chain
-from swingwords.quotients import PrimeCanonical
+from swingwords.linalg import row_space
+from swingwords.moves import eta_word, linear_image
+from swingwords.quotients import PrimeCanonical, relation_span
 from swingwords.scalars import InputError
 from swingwords.verify import (Report, kernel_matches_relations, run_suite,
                                suite_exactness, suite_lemmas, suite_maxlen,
@@ -50,6 +53,49 @@ def test_kernel_matches_relations_small():
     for p in (1, 2):
         for n in (1, 2, 3, 4):
             assert kernel_matches_relations(n, p)
+
+
+def test_kernel_check_fails_on_a_wrong_span_block(monkeypatch):
+    # degree 3 over two letters: the block of 112, 121, 211 holds two relations
+    span = relation_span(3, 2, "l")
+    md = (2, 1)
+    rows = span.blocks[md].rows()
+    assert len(rows) == 2
+
+    def patched(block):
+        blocks = {**span.blocks, md: block}
+        monkeypatch.setattr(swingwords.verify, "relation_span",
+                            lambda n, p, family: SimpleNamespace(blocks=blocks))
+        return kernel_matches_relations(3, 2)
+
+    # a stored row dropped: the span still dies under eta but is too small
+    assert not patched(row_space(rows[1:]))
+    # a row replaced by a word outside ker(eta), keeping the rank: only the
+    # containment step sees it
+    outside = next(w for w in ((1, 2, 1), (2, 1, 1), (1, 1, 2))
+                   if eta_word(w) and row_space(rows[1:] + [{w: 1}]).rank == 2)
+    assert linear_image({outside: 1}, eta_word)
+    assert not patched(row_space(rows[1:] + [{outside: 1}]))
+    assert patched(row_space(rows))
+
+
+def test_head_tail_failures_leave_the_move_records_standing(monkeypatch):
+    # every (head, tail) choice but to_vertebrate's reads twice the chain: the
+    # head/tail records fail, and the swap and expansion records still pass,
+    # because their base is each tree's first choice, its diagram class
+    real = swingwords.verify.tree_chain
+
+    def doubled_off_the_first_choice(tree, head=None, tail=None):
+        chain = real(tree, head, tail)
+        legs = tree.leg_vertices()
+        return chain if head is None or (head, tail) == tuple(legs[:2]) else chain.scale(2)
+    monkeypatch.setattr(swingwords.verify, "tree_chain", doubled_off_the_first_choice)
+    report = suite_rho(max_bead_leaves=1, max_legs=5, exhaustive_legs=5, samples_at_max=0)
+    status = {r.anchor.split(" (")[0]: r.status for r in report.records}
+    assert status["head/tail choices agree exhaustively through 5 legs"] == "fail"
+    assert status["head/tail choices agree on all 5-leg shapes with distinct letters"] == "fail"
+    assert status["orientation swaps negate the class"] == "pass"
+    assert status["internal-edge expansions sum to the class"] == "pass"
 
 
 def test_run_suite_dispatch():
