@@ -56,22 +56,44 @@ def shared_words(terms: dict[Word, object]) -> dict[Word, object]:
     return {share(w, w): c for w, c in terms.items()}
 
 
-def linear_image(terms: dict[Word, int], word_map) -> dict[Word, int]:
-    """The image of integer terms under the linear extension of a word map."""
+def eta_bound(n: int, word: Word | None = None) -> int:
+    """The most terms eta builds for a word of length n: 2^(n-1), and given
+    the word, at most one per word with its letters (`expansion_bound`)."""
+    if n == 0:
+        return 0
+    return 1 << (n - 1) if word is None else expansion_bound(word)
+
+
+def linear_image(terms: dict[Word, int], word_map, bound=None) -> dict[Word, int]:
+    """The image of integer terms under the linear extension of a word map.
+
+    With `bound`, the most terms the map builds for a word of length n
+    (`bound(n)`, increasing in n) or for one word (`bound(n, word)`), a chain
+    whose words' bounds sum past MAX_WORDS is refused before any word is
+    mapped. The sum is taken only when the number of words times the bound
+    of the longest length passes MAX_WORDS. A single word is left to the
+    word map, which refuses it past the same bound.
+    """
+    if bound is not None and len(terms) > 1:
+        if len(terms) * bound(max(map(len, terms))) > MAX_WORDS:
+            check_work(sum(bound(len(w), w) for w in terms),
+                       f"the image of a chain of {len(terms)} words")
     return accumulate((w, coeff * c) for word, coeff in terms.items()
                       for w, c in word_map(word).items())
 
 
-def linear_extension(chain: Chain, word_map, divisor: int = 1) -> Chain:
-    """The image of a chain under an integer word map, over `divisor`, in its field."""
+def linear_extension(chain: Chain, word_map, divisor: int = 1, bound=None) -> Chain:
+    """The image of a chain under an integer word map, over `divisor`, in its
+    field; `bound` guards the work as in `linear_image`."""
     q = chain.char
     terms, scale = cleared(chain.terms, q)
-    return Chain._make(chain.p, divided(linear_image(terms, word_map), scale * divisor, q), q)
+    image = linear_image(terms, word_map, bound)
+    return Chain._make(chain.p, divided(image, scale * divisor, q), q)
 
 
 def eta(chain: Chain) -> Chain:
     """Linear extension of eta; preserves degree and multidegree."""
-    return linear_extension(chain, eta_word)
+    return linear_extension(chain, eta_word, bound=eta_bound)
 
 
 def fold_l_word(n: int, word: Word) -> dict[Word, int]:
@@ -91,7 +113,18 @@ def fold_l_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_l(n: int, chain: Chain) -> Chain:
-    return linear_extension(chain, lambda w: fold_l_word(n, w))
+    return linear_extension(chain, lambda w: fold_l_word(n, w), bound=_fold_bound(n))
+
+
+def _fold_bound(k: int, reverses: bool = False):
+    """The bound (see `linear_image`) of the fold at index k: eta of the first
+    k - 1 letters, and one term where the fold is the identity or, for the
+    primed fold, reverses the word."""
+    def bound(n: int, word: Word | None = None) -> int:
+        if not 2 <= k <= n or (reverses and k == n):
+            return 1
+        return eta_bound(k - 1, None if word is None else word[:k - 1])
+    return bound
 
 
 def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
@@ -107,7 +140,7 @@ def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_prime(n: int, chain: Chain) -> Chain:
-    return linear_extension(chain, lambda w: fold_prime_word(n, w))
+    return linear_extension(chain, lambda w: fold_prime_word(n, w), bound=_fold_bound(n, True))
 
 
 def magma_leaves(term: MagmaTerm) -> tuple[int, ...]:

@@ -15,7 +15,15 @@ multidegree and serve as the independent equality oracle. They are built by
 that same right extension: for k < n, fold_k(w.b) - w.b = (fold_k(w) - w).b,
 and the primed move agrees with the left one below the top index, so the
 degree-n span of either family is the degree-(n-1) left span with each letter
-appended, plus the family's top-index relations.
+appended, plus the family's top-index relations. A spanning subset of those
+suffices. On degree-d words u.b the top left relation is
+R(u) = fold_d(u.b) - u.b = (-1)^(d-1) b.eta(u) - u.b, linear in u, and eta
+kills every left relation r (Dynkin-Specht-Wever, over Z and so mod q), so
+R(r) = -r.b is an appended row. Every pivot word of the degree-(d-1) left
+span is a combination of its non-pivot words modulo that span, so the
+relations of the non-pivot prefixes span the rest. The primed top relations
+pair up: with R'(w) = (-1)^n rev(w) - w, R'(rev(w)) = -(-1)^n R'(w), so one
+of each pair suffices, and a palindrome's, -2w at odd n, stays.
 
 The scaled g-image (n - 1) g(w) of a word is an integer vector computed by
 a right-nested bracket recursion (Reutenauer, Free Lie Algebras, ch. 1): one
@@ -45,8 +53,8 @@ from typing import Iterable, Literal
 
 from .chains import Chain, Multidegree, Word, accumulate, word_count, word_multidegree
 from .linalg import RowSpace
-from .moves import (eta_word, fold_l, fold_l_word, fold_prime_word, linear_extension,
-                    linear_image, shared_words)
+from .moves import (eta_bound, eta_word, fold_l, fold_l_word, fold_prime_word,
+                    linear_extension, linear_image, shared_words)
 from .scalars import (MAX_WORDS, InputError, ResourceLimitError, check_characteristic,
                       check_work, cleared, divided)
 
@@ -153,11 +161,15 @@ class RelationSpan:
     docstring): each stored row of the degree-(d-1) left span, re-keyed by
     appending a letter b, is a stored row of the degree-d span. Appending b
     keeps the column order, and different letters give disjoint supports, so
-    the re-keyed rows stay in stored form and need no elimination; only the
-    p^d top-index relations of degree d are inserted. The stored form is a
-    fixed multiple of the reduced echelon form of the span, so it does not
-    depend on this order. Over all degrees sum_{d<=n} p^d <= 2 p^n rows are
-    inserted for p >= 2, so the `max_words` bound on p^n bounds the work done.
+    the re-keyed rows stay in stored form and need no elimination. Then a
+    spanning subset of the top-index relations of degree d is inserted (see
+    the module docstring): at a left step the fold of u.b only for prefixes u
+    that are not pivot columns of the degree-(d-1) left span, p times its
+    quotient dimension and at most p^d rows; at the primed top step the
+    relation of w only for w <= rev(w), at most (p^d + p^ceil(d/2)) / 2 rows.
+    The stored form is a fixed multiple of the reduced echelon form of the
+    span, so it is the same as with every top-index relation inserted, in any
+    order. The `max_words` bound on p^n bounds the work done.
     When the degree-(n-1) left span over the same alphabet and field is
     already memoized, the build starts from its blocks; `_appended` copies
     every row, so the memoized span is left as it was.
@@ -181,11 +193,16 @@ class RelationSpan:
         left = _SPAN_MEMO.get((degree - 1, p, "l", char))
         blocks: dict[Multidegree, RowSpace] = left.blocks if left else {}
         for d in range(degree if left else 1, degree + 1):
-            # the left span one degree up, then the top-index relations of
-            # this degree: the family's own at the last step, else left folds
+            # the left span one degree up, then a spanning subset of the
+            # top-index relations of this degree: the primed ones of the pairs
+            # w <= rev(w) at the last step, else left folds of non-pivot prefixes
+            pivots = {c for block in blocks.values() for c in block.pivots}
             blocks = _appended(blocks, p, char)
-            fold_word = fold_l_word if family == "l" or d < degree else fold_prime_word
+            top = family == "prime" and d == degree
+            fold_word = fold_prime_word if top else fold_l_word
             for word in product(range(1, p + 1), repeat=d):
+                if (word > word[::-1]) if top else (word[:-1] in pivots):
+                    continue
                 md = word_multidegree(word, p)
                 block = blocks.get(md)
                 if block is None:
@@ -291,7 +308,7 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
         span = relation_span(degree, chain.p, "l", q)
         return LieCanonical(degree, span.reduce(chain), method="span")
     terms, scale = cleared(chain.terms, chain.char)
-    terms = linear_image(terms, eta_word)
+    terms = linear_image(terms, eta_word, eta_bound)
     if q != chain.char:
         # a rational chain: eta over Q, read mod q, then the projector's 1/n
         terms, scale = cleared(divided(terms, scale), q)
@@ -333,8 +350,8 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     as eta of the empty word is 0; the empty word itself is refused.
 
     A word builds at most n 2^(n-2) terms here, counting g'(w), and at most
-    2(n - 1) per word with its letters; past MAX_WORDS it is refused before
-    any is built.
+    2(n - 1) per word with its letters (`_g_image_bound`); past MAX_WORDS it
+    is refused before any is built.
     """
     cached = _PRIME_IMAGE_MEMO.get(word)
     if cached is not None:
@@ -343,8 +360,7 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     if n == 0:
         raise InputError("the empty word has no tensor image")
     if n > 1 and n << (n - 2) > MAX_WORDS:
-        check_work(min(n << (n - 2), 2 * (n - 1) * word_count(Counter(word).values())),
-                   f"the g-image of a degree-{n} word")
+        check_work(_g_image_bound(n, word), f"the g-image of a degree-{n} word")
     terms = [(v + word[:1], d) for v, d in eta_word(word[1:][::-1]).items()]
     for k in range(2, n):
         a = word[k - 1:k]
@@ -359,6 +375,15 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     if n <= _PRIME_IMAGE_MEMO_MAX_DEGREE:
         out = _PRIME_IMAGE_MEMO[word] = shared_words(out)
     return out
+
+
+def _g_image_bound(n: int, word: Word | None = None) -> int:
+    """The most terms `_g_image_scaled` builds for a word of length n:
+    n 2^(n-2), and given the word, at most 2(n - 1) per word with its letters."""
+    if n < 2:
+        return 0
+    bound = n << (n - 2)
+    return bound if word is None else min(bound, 2 * (n - 1) * word_count(Counter(word).values()))
 
 
 def _tensor_degree(chain: Chain) -> int:
@@ -394,7 +419,8 @@ def canonical_prime(chain: Chain) -> PrimeCanonical:
     if degree is None or degree <= 1:
         return PrimeCanonical(degree or 0, Chain._make(chain.p, {}, chain.char))
     terms, scale = cleared(chain.terms, chain.char)
-    return PrimeCanonical._scaled(degree, chain.p, linear_image(terms, _g_image_scaled),
+    return PrimeCanonical._scaled(degree, chain.p,
+                                  linear_image(terms, _g_image_scaled, _g_image_bound),
                                   scale * (degree - 1), chain.char)
 
 

@@ -5,6 +5,8 @@ import time
 import pytest
 
 import swingwords.dims
+import swingwords.moves
+import swingwords.scalars
 from swingwords.cli import main
 from swingwords.textio import render_chain, render_tensor
 from swingwords.trees import JacobiTree, relabel_legs, tree_to_json
@@ -447,6 +449,50 @@ def test_work_past_the_word_bound_exits_two_quickly(tmp_path, capsys, argv, fmt)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith("terms, over the bound 2000000\n")
     assert "Traceback" not in err
+
+
+def _rotations(n: int, k: int) -> str:
+    """The sum of the first k rotations of the word 1..n."""
+    letters = [str(a) for a in range(1, n + 1)]
+    return " + ".join("[" + ",".join(letters[i:] + letters[:i]) + "]" for i in range(k))
+
+
+@pytest.mark.parametrize("argv, total", [
+    # each word's image is under the bound; the four together are not
+    (("eta", "-p", "20", "--chain", _rotations(20, 4)), 4 << 19),
+    (("reduce", "--space", "l", "-p", "20", "--chain", _rotations(20, 4)), 4 << 19),
+    (("reduce", "--space", "prime", "-p", "17", "--chain", _rotations(17, 4)), 4 * (17 << 15)),
+    (("fold", "--kind", "l", "--n", "21", "-p", "21", "--chain", _rotations(21, 4)), 4 << 19),
+    (("fold", "--kind", "prime", "--n", "21", "-p", "22", "--chain", _rotations(22, 4)), 4 << 19),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_chain_past_the_word_bound_exits_two_quickly(capsys, argv, total, fmt):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == (f"error: the image of a chain of 4 words would build up to {total} "
+                   "terms, over the bound 2000000\n")
+
+
+def test_primed_top_fold_of_a_long_chain_is_not_refused(capsys):
+    # the primed fold at the top index reverses each word: one term apiece
+    code, out, err = run(capsys, "fold", "--kind", "prime", "--n", "22", "-p", "22",
+                         "--chain", _rotations(22, 4))
+    assert (code, err) == (0, "")
+    assert out.count("[") == 4
+
+
+@pytest.mark.parametrize("limit, code", [(4 << 9, 0), ((4 << 9) - 1, 2)])
+def test_chain_bound_sums_the_bounds_of_its_words(monkeypatch, capsys, limit, code):
+    # four rotations of 1..10: eta builds at most 2^9 terms per word
+    monkeypatch.setattr(swingwords.scalars, "MAX_WORDS", limit)
+    monkeypatch.setattr(swingwords.moves, "MAX_WORDS", limit)
+    result = run(capsys, "eta", "-p", "10", "--chain", _rotations(10, 4))
+    assert result[0] == code
+    assert "Traceback" not in result[2]
+    if code == 0:
+        assert 0 < result[1].count("[") <= 4 << 9
 
 
 @pytest.mark.parametrize("space", ["eta", "l", "prime"])

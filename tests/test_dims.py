@@ -93,6 +93,14 @@ def test_rank_oracle_examples():
     assert rank_oracle(1, 3, "prime") == 0
 
 
+@pytest.mark.parametrize("n,p", [(8, 3), (7, 3), (6, 4)])
+def test_rank_oracle_agrees_with_the_formulas_past_degree_six(n, p):
+    # the spans insert a spanning subset of their relations; over Q a
+    # subset that spans too little shows as a larger quotient here
+    assert rank_oracle(n, p, "l") == witt_total(n, p)
+    assert rank_oracle(n, p, "prime") == h_dim_total(n, p)
+
+
 def test_rank_oracle_resource_guard():
     with pytest.raises(ResourceLimitError):
         rank_oracle(40, 2, "l", max_words=100)

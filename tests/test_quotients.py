@@ -130,9 +130,15 @@ def _all_index_blocks(degree, p, family, char):
 @pytest.mark.parametrize("family", ["l", "prime"])
 @pytest.mark.parametrize("char", [None, 3, 5, 7])
 def test_relation_span_matches_all_index_construction(family, char):
+    # the span inserts left folds of non-pivot prefixes only, and one primed
+    # relation per reversal pair; degree 7 at p = 3 runs over Q, over F_3
+    # (3 | n - 1) and over F_7 (7 | n)
     cases = [(n, p) for n in range(1, 7) for p in (1, 2, 3)]
+    cases += [(n, 4) for n in range(1, 6)]
     if char == 7:
         cases.append((7, 2))
+    if char in (None, 3, 7):
+        cases.append((7, 3))
     for degree, p in cases:
         span = RelationSpan(degree, p, family, char)
         blocks = _all_index_blocks(degree, p, family, char)
