@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check by relation-span rank")
     sp.add_argument("--char", type=int, default=None)
-    sp.add_argument("--max-words", type=int, default=None,
-                    help="refusal threshold for the oracle's word enumeration")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("enumerate", help="enumerate a basis per multidegree")
@@ -181,8 +179,7 @@ def _run(args) -> int:
     if args.command == "dims":
         md = _parse_multidegree(args.multidegree) if args.multidegree else None
         report = dimension_report(args.kind, n=args.n, p=args.p, multidegree=md,
-                                  oracle=args.oracle, char=args.char,
-                                  max_words=args.max_words)
+                                  oracle=args.oracle, char=args.char)
         _emit(report.to_dict(), args.format,
               [f"{report.query} = {report.value}" +
                (f"  [{report.method}]" if report.method != "formula" else "")])
@@ -204,7 +201,6 @@ def _run(args) -> int:
         if args.max_degree is not None:
             if args.suite == "rho":
                 params["max_legs"] = min(max(3, args.max_degree), 7)
-                params["exhaustive_legs"] = max(3, min(args.max_degree, 6))
             else:
                 params[degree_param] = args.max_degree
         if args.p is not None:

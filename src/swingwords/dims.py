@@ -118,13 +118,10 @@ def h_dim_multidegree(m) -> int:
     return total
 
 
-def rank_oracle(n: int, p: int, family: Family, char: int | None = None,
-                max_words: int | None = None) -> int:
+def rank_oracle(n: int, p: int, family: Family, char: int | None = None) -> int:
     """Quotient dimension computed independently of the formulas: the word
     count p^n minus the rank of the row-reduced relation span."""
-    kwargs = {} if max_words is None else {"max_words": max_words}
-    span = relation_span(n, p, family, char, **kwargs)
-    return span.quotient_dim()
+    return relation_span(n, p, family, char).quotient_dim()
 
 
 @dataclass
@@ -182,8 +179,7 @@ def _printable(report: "DimensionReport") -> "DimensionReport":
 
 def dimension_report(kind: str, *, n: int | None = None, p: int | None = None,
                      multidegree=None, oracle: bool = False,
-                     char: int | None = None,
-                     max_words: int | None = None) -> DimensionReport:
+                     char: int | None = None) -> DimensionReport:
     """Evaluate one dimension query, optionally cross-checked by row reduction.
 
     A degree past MAX_DEGREE, or a value with more decimal digits than the
@@ -227,7 +223,7 @@ def dimension_report(kind: str, *, n: int | None = None, p: int | None = None,
         family = "prime"
     _printable(report)
     if oracle:
-        computed = rank_oracle(n, p, family, char, max_words=max_words)
+        computed = rank_oracle(n, p, family, char)
         report.method = "both"
         report.extra["rank_oracle"] = computed
         if computed != report.value:

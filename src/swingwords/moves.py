@@ -177,20 +177,23 @@ def expansion_bound(leaves) -> int:
 
 def expand_word(term: MagmaTerm) -> dict[Word, int]:
     """Commutator expansion of a magma term as an integer term dict; a node
-    whose bracket would build more than MAX_WORDS terms is refused."""
+    whose bracket would build more than MAX_WORDS terms is refused. Only the
+    whole term is memoized: the inner nodes of a deep term hold far more
+    letters than its expansion."""
     cached = _EXPAND_MEMO.get(term)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _EXPAND_MEMO[term] = _expansion(term)
+    return cached
+
+
+def _expansion(term: MagmaTerm) -> dict[Word, int]:
     if isinstance(term, int):
-        result = {(term,): 1}
-    else:
-        left, right = expand_word(term[0]), expand_word(term[1]).items()
-        check_work(2 * len(left) * len(right), "the expansion of a magma term")
-        pairs = [(w1, w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right]
-        result = accumulate((w1 + w2, c) for w1, w2, c in pairs)
-        accumulate(((w2 + w1, -c) for w1, w2, c in pairs), result)
-    _EXPAND_MEMO[term] = result
-    return result
+        return {(term,): 1}
+    left, right = _expansion(term[0]), _expansion(term[1]).items()
+    check_work(2 * len(left) * len(right), "the expansion of a magma term")
+    pairs = [(w1, w2, c1 * c2) for w1, c1 in left.items() for w2, c2 in right]
+    result = accumulate((w1 + w2, c) for w1, w2, c in pairs)
+    return accumulate(((w2 + w1, -c) for w1, w2, c in pairs), result)
 
 
 def commutator_expand(term: MagmaTerm, p: int) -> Chain:

@@ -169,23 +169,22 @@ class RelationSpan:
     relation of w only for w <= rev(w), at most (p^d + p^ceil(d/2)) / 2 rows.
     The stored form is a fixed multiple of the reduced echelon form of the
     span, so it is the same as with every top-index relation inserted, in any
-    order. The `max_words` bound on p^n bounds the work done.
+    order. The MAX_WORDS bound on p^n bounds the work done.
     When the degree-(n-1) left span over the same alphabet and field is
     already memoized, the build starts from its blocks; `_appended` copies
     every row, so the memoized span is left as it was.
     """
 
-    def __init__(self, degree: int, p: int, family: Family, char: int | None = None,
-                 max_words: int = MAX_WORDS):
+    def __init__(self, degree: int, p: int, family: Family, char: int | None = None):
         if degree < 1 or p < 1:
             raise InputError("degree and alphabet bound must be >= 1")
         if family not in ("l", "prime"):
             raise InputError(f"unknown relation family {family!r}")
         if char is not None:
             check_characteristic(char)
-        if p ** degree > max_words:
+        if p ** degree > MAX_WORDS:
             raise ResourceLimitError(
-                f"{p}^{degree} = {p ** degree} words exceeds the bound {max_words}")
+                f"{p}^{degree} = {p ** degree} words exceeds the bound {MAX_WORDS}")
         self.degree = degree
         self.p = p
         self.family = family
@@ -275,13 +274,13 @@ def _appended(blocks: dict[Multidegree, RowSpace], p: int,
     return out
 
 
-def relation_span(degree: int, p: int, family: Family, char: int | None = None,
-                  max_words: int = MAX_WORDS) -> RelationSpan:
+def relation_span(degree: int, p: int, family: Family,
+                  char: int | None = None) -> RelationSpan:
     """Memoized relation span; repeated requests return the same object."""
     key = (degree, p, family, char)
     span = _SPAN_MEMO.get(key)
     if span is None:
-        span = RelationSpan(degree, p, family, char, max_words)
+        span = RelationSpan(degree, p, family, char)
         _SPAN_MEMO[key] = span
     return span
 

@@ -103,7 +103,7 @@ def test_rank_oracle_agrees_with_the_formulas_past_degree_six(n, p):
 
 def test_rank_oracle_resource_guard():
     with pytest.raises(ResourceLimitError):
-        rank_oracle(40, 2, "l", max_words=100)
+        rank_oracle(40, 2, "l")
 
 
 def test_dimension_report_both_methods():

@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import swingwords.moves
 from swingwords.chains import Chain
-from swingwords.moves import (commutator_expand, eta, eta_comb, fold_l,
+from swingwords.moves import (commutator_expand, eta, eta_comb, expand_word, fold_l,
                               fold_prime, magma_leaves)
 from swingwords.scalars import ResourceLimitError
 
@@ -76,6 +77,18 @@ def test_expansion_past_the_word_bound_is_refused():
     left, right = eta_comb(tuple(range(1, 13))), eta_comb(tuple(range(13, 25)))
     with pytest.raises(ResourceLimitError, match="over the bound 2000000"):
         commutator_expand((left, right), 24)
+
+
+def test_only_the_whole_term_is_memoized(monkeypatch):
+    # the inner nodes of a 300-level comb hold about 300^3 / 3 letters, and
+    # its expansion 301 words of 301 letters
+    monkeypatch.setattr(swingwords.moves, "_EXPAND_MEMO", {})
+    comb = 1
+    for _ in range(300):
+        comb = (comb, 2)
+    expansion = expand_word(comb)
+    assert len(expansion) == 301
+    assert swingwords.moves._EXPAND_MEMO == {comb: expansion}
 
 
 def test_left_comb_reproduces_eta():

@@ -78,7 +78,7 @@ def test_relation_span_examples():
 
 def test_relation_span_resource_guard():
     with pytest.raises(ResourceLimitError):
-        relation_span(30, 3, "l", max_words=1000)
+        relation_span(30, 3, "l")
 
 
 def test_relation_span_basis_is_independent_and_homogeneous():

@@ -1,14 +1,15 @@
-from itertools import count
+from itertools import count, product
 from types import SimpleNamespace
 
 import pytest
 
 import swingwords.verify
-from swingwords.chains import Chain
+from swingwords.chains import Chain, accumulate
 from swingwords.linalg import row_space
 from swingwords.moves import eta_word, linear_image
-from swingwords.quotients import PrimeCanonical, relation_span
+from swingwords.quotients import PrimeCanonical, canonical_prime, relation_span
 from swingwords.scalars import InputError
+from swingwords.trees import enumerate_topologies, relabel_legs, tree_chain
 from swingwords.verify import (Report, kernel_matches_relations, run_suite,
                                suite_exactness, suite_lemmas, suite_maxlen,
                                suite_rho)
@@ -30,8 +31,7 @@ def test_exactness_suite_small():
 
 
 def test_rho_suite_small():
-    report = suite_rho(max_bead_leaves=3, max_legs=5, exhaustive_legs=5,
-                       samples_at_max=0)
+    report = suite_rho(max_bead_leaves=3, max_legs=5, samples_at_max=0)
     assert report.status == "pass"
 
 
@@ -90,10 +90,9 @@ def test_head_tail_failures_leave_the_move_records_standing(monkeypatch):
         legs = tree.leg_vertices()
         return chain if head is None or (head, tail) == tuple(legs[:2]) else chain.scale(2)
     monkeypatch.setattr(swingwords.verify, "tree_chain", doubled_off_the_first_choice)
-    report = suite_rho(max_bead_leaves=1, max_legs=5, exhaustive_legs=5, samples_at_max=0)
+    report = suite_rho(max_bead_leaves=1, max_legs=5, samples_at_max=0)
     status = {r.anchor.split(" (")[0]: r.status for r in report.records}
-    assert status["head/tail choices agree exhaustively through 5 legs"] == "fail"
-    assert status["head/tail choices agree on all 5-leg shapes with distinct letters"] == "fail"
+    assert status["head/tail choices agree on every shape through 5 legs"] == "fail"
     assert status["orientation swaps negate the class"] == "pass"
     assert status["internal-edge expansions sum to the class"] == "pass"
 
@@ -143,8 +142,7 @@ def test_sampled_tree_failing_twice_counts_once(monkeypatch):
     monkeypatch.setattr(swingwords.verify, "canonical_prime",
                         lambda chain: PrimeCanonical(2, Chain(1, {(1, 1): next(fresh)})))
     monkeypatch.setattr(swingwords.verify, "rank_oracle", lambda *args: 0)
-    report = suite_rho(max_bead_leaves=1, max_legs=7, p=1, exhaustive_legs=3,
-                       samples_at_max=3)
+    report = suite_rho(max_bead_leaves=1, max_legs=7, p=1, samples_at_max=3)
     sampled = [r for r in report.records if r.anchor.startswith("sampled 7-leg")]
     assert [(r.status, r.expected, r.computed) for r in sampled] == [
         ("fail", "0 failures over 3 trees", "3 failures")]
@@ -154,3 +152,25 @@ def test_suites_are_deterministic():
     a = suite_lemmas(max_total=3, p=2, spot_count=5).to_dict()
     b = suite_lemmas(max_total=3, p=2, spot_count=5).to_dict()
     assert a == b
+
+
+def test_tree_classes_commute_with_letter_specialisation():
+    # the rho suite reads each shape once, at distinct letters; this is why
+    # that is enough: lettering a tree by sigma and taking its class is sigma
+    # applied letterwise to its class at distinct letters, for every choice of
+    # head and tail, every p = 2 lettering and every 3- to 5-leg shape
+    cases = 0
+    for legs in (3, 4, 5):
+        for shape in enumerate_topologies(legs):
+            distinct = relabel_legs(shape, range(1, legs + 1), legs)
+            leg_ids = distinct.leg_vertices()
+            images = {(h, t): canonical_prime(tree_chain(distinct, h, t)).image.terms
+                      for h in leg_ids for t in leg_ids if h != t}
+            for sigma in product((1, 2), repeat=legs):
+                tree = relabel_legs(shape, sigma, 2)
+                for (h, t), image in images.items():
+                    specialised = accumulate((tuple(sigma[a - 1] for a in w), c)
+                                             for w, c in image.items())
+                    assert canonical_prime(tree_chain(tree, h, t)).image.terms == specialised
+                    cases += 1
+    assert cases == 10224
