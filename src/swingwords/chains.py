@@ -11,6 +11,10 @@ inputs is safe and bit-identical to sequential evaluation.
 `accumulate` is the one place that sums keyed coefficients and prunes zeros;
 every linear map of the package (chain arithmetic, eta, the folds, bead
 expansion, the tensor images, tree expansion) builds its result through it.
+It scales each coefficient by its `scale` argument on the way in, so the
+linear extension of a word map (`moves.linear_image`) copies the first
+word's image times its coefficient into a new dict and adds every later
+word's memoized image into that dict in place, with no scaled copy of it.
 Those maps wrap their pruned terms over valid words with `Chain._make`, which
 skips the checks that `Chain(p, terms, char)` applies to outside input. They
 accumulate integers: coefficients are cleared to one scale on the way in and
@@ -54,12 +58,14 @@ def reverse_word(word: Word) -> Word:
     return word[::-1]
 
 
-def accumulate(pairs: Iterable[tuple[object, object]], out: dict | None = None) -> dict:
-    """Sum (key, coefficient) pairs into `out`, dropping keys that reach zero."""
+def accumulate(pairs: Iterable[tuple[object, object]], out: dict | None = None,
+               scale=1) -> dict:
+    """Sum (key, scale * coefficient) pairs into `out`, dropping keys that
+    reach zero."""
     if out is None:
         out = {}
     for key, coeff in pairs:
-        acc = out.get(key, 0) + coeff
+        acc = out.get(key, 0) + scale * coeff
         if acc:
             out[key] = acc
         else:

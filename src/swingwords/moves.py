@@ -44,8 +44,9 @@ def eta_word(word: Word) -> dict[Word, int]:
             check_work(expansion_bound(word), f"eta of a degree-{n} word")
         last = word[-1:]
         prefix = eta_word(word[:-1]).items()
-        result = accumulate((last + w, c) for w, c in prefix)
-        result = shared_words(accumulate(((w + last, -c) for w, c in prefix), result))
+        # prepending one letter to distinct words keeps them distinct
+        result = {last + w: c for w, c in prefix}
+        result = shared_words(accumulate(((w + last, c) for w, c in prefix), result, -1))
     _ETA_MEMO[word] = result
     return result
 
@@ -65,7 +66,10 @@ def eta_bound(n: int, word: Word | None = None) -> int:
 
 
 def linear_image(terms: dict[Word, int], word_map, bound=None) -> dict[Word, int]:
-    """The image of integer terms under the linear extension of a word map.
+    """The image of integer terms under the linear extension of a word map:
+    the first word's image times its coefficient, then each later word's image
+    added in place, scaled by its coefficient (`accumulate`). The terms'
+    coefficients are nonzero, as `cleared` leaves them.
 
     With `bound`, the most terms the map builds for a word of length n
     (`bound(n)`, increasing in n) or for one word (`bound(n, word)`), a chain
@@ -78,8 +82,15 @@ def linear_image(terms: dict[Word, int], word_map, bound=None) -> dict[Word, int
         if len(terms) * bound(max(map(len, terms))) > MAX_WORDS:
             check_work(sum(bound(len(w), w) for w in terms),
                        f"the image of a chain of {len(terms)} words")
-    return accumulate((w, coeff * c) for word, coeff in terms.items()
-                      for w, c in word_map(word).items())
+    items = iter(terms.items())
+    first = next(items, None)
+    if first is None:
+        return {}
+    word, coeff = first
+    out = {w: coeff * c for w, c in word_map(word).items()}
+    for word, coeff in items:
+        accumulate(word_map(word).items(), out, coeff)
+    return out
 
 
 def linear_extension(chain: Chain, word_map, divisor: int = 1, bound=None) -> Chain:
@@ -113,10 +124,10 @@ def fold_l_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_l(n: int, chain: Chain) -> Chain:
-    return linear_extension(chain, lambda w: fold_l_word(n, w), bound=_fold_bound(n))
+    return linear_extension(chain, lambda w: fold_l_word(n, w), bound=fold_bound(n))
 
 
-def _fold_bound(k: int, reverses: bool = False):
+def fold_bound(k: int, reverses: bool = False):
     """The bound (see `linear_image`) of the fold at index k: eta of the first
     k - 1 letters, and one term where the fold is the identity or, for the
     primed fold, reverses the word."""
@@ -140,7 +151,7 @@ def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_prime(n: int, chain: Chain) -> Chain:
-    return linear_extension(chain, lambda w: fold_prime_word(n, w), bound=_fold_bound(n, True))
+    return linear_extension(chain, lambda w: fold_prime_word(n, w), bound=fold_bound(n, True))
 
 
 def magma_leaves(term: MagmaTerm) -> tuple[int, ...]:

@@ -53,8 +53,8 @@ from typing import Iterable, Literal
 
 from .chains import Chain, Multidegree, Word, accumulate, word_count, word_multidegree
 from .linalg import RowSpace
-from .moves import (eta_bound, eta_word, fold_l, fold_l_word, fold_prime_word,
-                    linear_extension, linear_image, shared_words)
+from .moves import (eta_bound, eta_word, fold_bound, fold_l, fold_l_word,
+                    fold_prime_word, linear_extension, linear_image, shared_words)
 from .scalars import (MAX_WORDS, InputError, ResourceLimitError, check_characteristic,
                       check_work, cleared, divided)
 
@@ -363,13 +363,14 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     terms = [(v + word[:1], d) for v, d in eta_word(word[1:][::-1]).items()]
     for k in range(2, n):
         a = word[k - 1:k]
-        right = eta_word(word[k:][::-1]).items()
+        right = [(v, v + a, d) for v, d in eta_word(word[k:][::-1]).items()]
         for u, c in eta_word(word[:k - 1]).items():
             if k % 2 == 0:
                 c = -c
-            for v, d in right:
-                terms.append((u + v + a, c * d))
-                terms.append((v + u + a, -c * d))
+            ua = u + a
+            for v, va, d in right:
+                terms.append((u + va, c * d))
+                terms.append((v + ua, -c * d))
     out = accumulate(terms, _g_prime_scaled(word))
     if n <= _PRIME_IMAGE_MEMO_MAX_DEGREE:
         out = _PRIME_IMAGE_MEMO[word] = shared_words(out)
@@ -397,7 +398,13 @@ def _tensor_degree(chain: Chain) -> int:
 
 def g_prime_map(chain: Chain) -> Chain:
     """Split each word into (canonical prefix) tensor (last letter)."""
-    return linear_extension(chain, _g_prime_scaled, _tensor_degree(chain) - 1)
+    return linear_extension(chain, _g_prime_scaled, _tensor_degree(chain) - 1,
+                            bound=_g_prime_bound)
+
+
+def _g_prime_bound(n: int, word: Word | None = None) -> int:
+    """The bound (see `linear_image`) of g': eta of all but the last letter."""
+    return eta_bound(n - 1, None if word is None else word[:-1])
 
 
 def g_map(chain: Chain) -> Chain:
@@ -452,4 +459,10 @@ def choose_head_by_letter(chain: Chain, letter: int) -> Chain:
                 f"letter {letter} occurs {len(positions)} times in {list(word)}; "
                 "head choice needs a unique occurrence")
         return fold_l_word(positions[0], word)
-    return linear_extension(chain, head_first)
+
+    def bound(n: int, word: Word | None = None) -> int:
+        # the fold at the letter's position; by length alone, the fold at the
+        # top index, which bounds every position
+        k = n if word is None or letter not in word else word.index(letter) + 1
+        return fold_bound(k)(n, word)
+    return linear_extension(chain, head_first, bound=bound)

@@ -190,23 +190,32 @@ def _parse_word(tokens: _Tokens, p: int) -> Word:
             raise ChainSyntaxError("expected ',' or ']'", tokens.pos)
 
 
-def _signed_sum(terms) -> str:
-    """Join (coefficient, suffix) terms as 'c1*x - c2*y + ...', the first sign
-    attached and later ones spaced; '0' when there are no terms."""
+def _signed_sum(terms, template) -> str:
+    """Join (word, coefficient) terms as 'c1*x - c2*y + ...', the first sign
+    attached and later ones spaced; '0' when there are no terms. Each word x
+    is `template(n) % word`, with the template of a length n built once per
+    call: '%s' formats a letter exactly as str does."""
+    templates: dict[int, str] = {}
     pieces = []
-    for coeff, suffix in terms:
+    for word, coeff in terms:
+        form = templates.get(len(word))
+        if form is None:
+            form = templates[len(word)] = template(len(word))
         text = str(coeff)  # the sign comes off the text: no comparison, no negation
         if text[0] == "-":
-            pieces.append(("- " if pieces else "-") + text[1:] + suffix)
+            pieces.append(("- " if pieces else "-") + text[1:] + form % word)
         else:
-            pieces.append(("+ " if pieces else "") + text + suffix)
+            pieces.append(("+ " if pieces else "") + text + form % word)
     return " ".join(pieces) or "0"
+
+
+def _letters(n: int) -> str:
+    return ",".join(["%s"] * n)
 
 
 def render_chain(chain: Chain) -> str:
     """Canonical text: sorted terms, explicit coefficients, '0' for zero."""
-    return _signed_sum((coeff, "*[" + ",".join(map(str, word)) + "]" if word else "")
-                       for word, coeff in chain.iter_terms())
+    return _signed_sum(chain.iter_terms(), lambda n: "*[" + _letters(n) + "]" if n else "")
 
 
 def render_tensor(chain: Chain) -> str:
@@ -214,8 +223,7 @@ def render_tensor(chain: Chain) -> str:
     u (x) b, printed as coeff*([u] (x) b) and ordered by (b, u); '0' when zero.
     This is the one place that splits the last letter off again."""
     terms = sorted(chain.terms.items(), key=lambda kv: (kv[0][-1], kv[0][:-1]))
-    return _signed_sum((coeff, "*([" + ",".join(map(str, word[:-1])) + f"] (x) {word[-1]})")
-                       for word, coeff in terms)
+    return _signed_sum(terms, lambda n: "*([" + _letters(n - 1) + "] (x) %s)")
 
 
 def parse_magma(text: str) -> MagmaTerm:

@@ -146,7 +146,8 @@ def test_criterion_7_rho_well_definedness(rho_run):
     ok = (len(wanted) >= 4 and all(r.status == "pass" for r in wanted)
           and elapsed < 300.0)
     announce(7, ok, f"schedule independence and head/tail independence "
-                    f"(6 legs exhaustive, 7 legs by the zero-dimension argument "
+                    f"(every shape through 6 legs read at distinct letters, 7 legs "
+                    f"by the zero-dimension argument "
                     f"plus sampling) in {elapsed:.1f}s")
 
 
@@ -157,7 +158,8 @@ def test_criterion_8_move_compatibility(rho_run):
     ok = (len(wanted) == 2 and all(r.status == "pass" for r in wanted)
           and elapsed < 300.0)
     announce(8, ok, f"orientation-swap negation and edge-expansion additivity, "
-                    f"exhaustive through 6 legs, in {elapsed:.1f}s")
+                    f"on every shape through 6 legs read at distinct letters, "
+                    f"in {elapsed:.1f}s")
 
 
 def test_criterion_9_exact_sequence(exactness_run):

@@ -12,7 +12,7 @@ from swingwords.moves import eta, eta_word, fold_l, fold_l_word, fold_prime_word
 from swingwords.quotients import (PrimeCanonical, RelationSpan, canonical_l,
                                   canonical_prime, choose_head, choose_head_by_letter,
                                   ell_map, g_map, g_prime_map, g_tilde, relation_span)
-from swingwords.textio import _signed_sum, render_tensor
+from swingwords.textio import render_tensor
 from swingwords.scalars import InputError, ResourceLimitError
 
 
@@ -261,6 +261,35 @@ def test_choose_head_by_letter_requires_unique_occurrence():
         choose_head_by_letter(Chain.of_word(2, (1, 1, 2)), 1)
 
 
+def _rotations(n, k):
+    """The sum of the first k rotations of the word 1..n."""
+    word = tuple(range(1, n + 1))
+    return Chain(n, {word[i:] + word[:i]: 1 for i in range(k)})
+
+
+@pytest.mark.parametrize("apply, total", [
+    # g' builds eta of the first 9 letters of each word: 2^8 terms apiece
+    (g_prime_map, 4 << 8),
+    # letter 10 sits at positions 10, 9, 8, 7: eta of 9, 8, 7, 6 letters
+    (lambda chain: choose_head_by_letter(chain, 10), (1 << 8) + (1 << 7) + (1 << 6) + (1 << 5)),
+])
+@pytest.mark.parametrize("over", [0, 1])
+def test_chain_bound_of_the_tensor_and_head_maps(monkeypatch, apply, total, over):
+    # with the bound at the sum of the words' bounds the map answers; one
+    # below it the chain is refused before any word is mapped
+    import swingwords.moves
+    import swingwords.scalars
+
+    monkeypatch.setattr(swingwords.scalars, "MAX_WORDS", total - over)
+    monkeypatch.setattr(swingwords.moves, "MAX_WORDS", total - over)
+    chain = _rotations(10, 4)
+    if over:
+        with pytest.raises(ResourceLimitError, match=f"chain of 4 words would build up to {total} "):
+            apply(chain)
+    else:
+        assert 0 < len(apply(chain).terms) <= total
+
+
 def test_choose_head_round_trip():
     c = Chain.of_word(4, (1, 2, 3, 4))
     state = fold_l(3, fold_l(2, fold_l(4, c)))
@@ -355,8 +384,9 @@ def _ref_g(chain):
 
 def _ref_render(pairs):
     terms = sorted(pairs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    return _signed_sum((coeff, "*([" + ",".join(map(str, word)) + f"] (x) {letter})")
-                       for (word, letter), coeff in terms)
+    text = " + ".join(f"{coeff}*([{','.join(map(str, word))}] (x) {letter})"
+                      for (word, letter), coeff in terms)
+    return text.replace("+ -", "- ") or "0"
 
 
 def _assert_images_match_reference(chain):
