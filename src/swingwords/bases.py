@@ -5,13 +5,23 @@ Basis selection is greedy over lexicographic word order with exact rank
 updates; the rank can never exceed the formula dimension, so the row spaces
 involved stay small even when the word blocks are large.
 
+Every row ranked here is a Lie element, read at its Lyndon words only
+(`lyndon_words`): eta(w) lies in Lie_n, and the g-image in Lie_{n-1} (x) V,
+stored as words u.b. A Lie element is determined by its coefficients at
+Lyndon words, since the Lyndon basis element P_l is l plus lexicographically
+larger words (Chen-Fox-Lyndon 1958; Lothaire, Combinatorics on Words, 1983,
+Ch. 5). So restriction to those columns is a linear map injective on the span
+of the rows: an insert raises the rank exactly when the full row would, the
+same words are chosen and the same ranks reported, over about 1/n of the
+columns.
+
 An h basis is certified by the dimension of the kernel of the re-attachment
 map ell on (Lie part) tensor (letters), an exact rank computation over Q
 (`ell_ranks`): the ambient rows that raise the rank span the ambient space, so
 by linearity their images span the image of ell, and by the Dynkin-Specht-Wever
 theorem each image is a rational multiple -(n - 1)/n of a bracket row, which
-needs no degree-n eta; every row is a Lie element, read at its Lyndon words
-only. That multiple can vanish mod q, so the certificate is computed over Q.
+needs no degree-n eta. That multiple can vanish mod q, so the certificate is
+computed over Q.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .chains import Multidegree, Word, accumulate, word_count
+from .chains import Multidegree, Word, accumulate, word_count, word_multidegree
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
@@ -61,6 +71,19 @@ def _multiset_permutations(letters: list[int]):
         a[j + 1:] = a[:j:-1]
 
 
+def lyndon_words(m) -> list[Word]:
+    """The Lyndon words of a multidegree, in lexicographic order: the words
+    strictly below each of their proper suffixes. Their coefficients fix a
+    Lie element of that multidegree, so they are the columns every Lie row is
+    ranked on."""
+    return [w for w in enum_words(m) if all(w < w[i:] for i in range(1, len(w)))]
+
+
+def _removals(md: Multidegree) -> list[tuple[int, Multidegree]]:
+    """(b, md - e_b) for each letter b that occurs in md."""
+    return [(b, md[:b - 1] + (x - 1,) + md[b:]) for b, x in enumerate(md, start=1) if x]
+
+
 @dataclass
 class BasisSet:
     """Selected representatives with the rank data certifying them."""
@@ -82,15 +105,20 @@ class BasisSet:
 
 def lie_basis(m) -> BasisSet:
     """Greedy lexicographic selection of words with independent left-fold
-    canonical forms; the count matches the necklace number."""
+    canonical forms; the count matches the necklace number.
+
+    Each eta(w) lies in Lie_n and is ranked at the Lyndon words of md only:
+    that restriction is injective on Lie_n, so it raises the rank exactly
+    when the full row would and the same words are chosen."""
     md = tuple(m)
     target = witt_multidegree(md)
+    lyndon = set(lyndon_words(md))
     space = RowSpace()
     chosen: list[Word] = []
     for word in enum_words(md):
         if space.rank == target:
             break
-        if space.insert(eta_word(word)):
+        if space.insert({w: c for w, c in eta_word(word).items() if w in lyndon}):
             chosen.append(word)
     if len(chosen) != target:
         raise ArithmeticError(
@@ -101,15 +129,21 @@ def lie_basis(m) -> BasisSet:
 def h_basis(m) -> BasisSet:
     """Greedy lexicographic selection of words with independent primed
     canonical forms, their g-images scaled by n - 1; certified against the
-    re-attachment kernel dimension."""
+    re-attachment kernel dimension.
+
+    Each g-image lies in Lie_{n-1} (x) V, stored as words u.b, and is ranked
+    at the words l.b with l a Lyndon word of md - e_b only: that restriction
+    is injective on Lie_{n-1} (x) V, one letter b at a time, so it raises the
+    rank exactly when the full row would and the same words are chosen."""
     md = tuple(m)
     target = h_dim_multidegree(md)
+    columns = {u + (b,) for b, rest in _removals(md) for u in lyndon_words(rest)}
     space = RowSpace()
     chosen: list[Word] = []
     for word in enum_words(md):
         if space.rank == target:
             break
-        if space.insert(_g_image_scaled(word)):
+        if space.insert({w: c for w, c in _g_image_scaled(word).items() if w in columns}):
             chosen.append(word)
     if len(chosen) != target:
         raise ArithmeticError(
@@ -135,34 +169,35 @@ def ell_ranks(pairs, p: int) -> tuple[int, int]:
       and eta(x.b) = b.eta(x) - eta(x).b, so ell(eta(u).b) = -(n - 1)/n *
       (b.eta(u) - eta(u).b): the bracket spans the line of the image row
       with no degree-n eta.
-    - Lyndon columns: a Lie element is determined by its coefficients at
-      Lyndon words, since the Lyndon basis element P_l is l plus
-      lexicographically larger words (Lothaire, Combinatorics on Words,
-      1983, Ch. 5). Ambient rows (eta(u) with b appended) and bracket rows
-      are read there only: the same ranks, raised by the same rows, over
-      about 1/n of the columns.
+    - Lyndon columns: ambient rows (eta(u) with b appended) and bracket
+      rows are Lie elements, read at the Lyndon words of their multidegree
+      only (`lyndon_words`; see the module docstring): the same ranks,
+      raised by the same rows, over about 1/n of the columns.
 
     Over F_q the multiple needs q to divide neither n nor n - 1, so the
     certificate stays over Q.
     """
     ambient = RowSpace()
     image = RowSpace()
-    lyndon: dict[Word, bool] = {}
+    found: dict[Multidegree, set[Word]] = {}
 
-    def is_lyndon(word: Word) -> bool:
-        known = lyndon.get(word)
-        if known is None:
-            # strictly below each of its proper suffixes, lexicographically
-            known = lyndon[word] = all(word < word[i:] for i in range(1, len(word)))
-        return known
+    def lyndon_of(word: Word) -> set[Word]:
+        # the Lyndon words of the word's multidegree, listed once per call
+        md = word_multidegree(word, p)
+        words = found.get(md)
+        if words is None:
+            words = found[md] = set(lyndon_words(md))
+        return words
 
     for u, letter in pairs:
         lie = eta_word(u).items()
-        if ambient.insert({w + (letter,): c for w, c in lie if is_lyndon(w)}):
+        columns = lyndon_of(u)
+        if ambient.insert({w + (letter,): c for w, c in lie if w in columns}):
             head = (letter,)
             bracket = accumulate(((w + head, -c) for w, c in lie),
                                  {head + w: c for w, c in lie})
-            image.insert({w: c for w, c in bracket.items() if is_lyndon(w)})
+            columns = lyndon_of(u + head)
+            image.insert({w: c for w, c in bracket.items() if w in columns})
     return ambient.rank, image.rank
 
 
@@ -171,8 +206,7 @@ def _ell_kernel_dim(md: Multidegree) -> int:
     multidegree: ambient rank minus image rank, both by exact row reduction
     over Q of the rows `ell_ranks` builds (a spanning set of the ambient rows
     and one bracket row per member of it)."""
-    pairs = ((u, letter) for letter, count in enumerate(md, start=1) if count
-             for u in enum_words(md[:letter - 1] + (count - 1,) + md[letter:]))
+    pairs = ((u, letter) for letter, rest in _removals(md) for u in enum_words(rest))
     ambient, image = ell_ranks(pairs, len(md))
     return ambient - image
 
@@ -327,12 +361,13 @@ def evenrun_experiment(m, variants: list[RunPredicate] | None = None) -> dict:
         raise InputError("the even-run experiment is about two-letter words")
     target = witt_multidegree(md)
     words = enum_words(md)
+    lyndon = set(lyndon_words(md))
     results = []
     for predicate in variants or EVENRUN_VARIANTS:
         passing = [w for w in words if predicate.accepts(w)]
         space = RowSpace()
-        for w in passing:
-            space.insert(eta_word(w))
+        for word in passing:
+            space.insert({w: c for w, c in eta_word(word).items() if w in lyndon})
         results.append({
             "variant": predicate.name,
             "count": len(passing),

@@ -213,13 +213,3 @@ def commutator_expand(term: MagmaTerm, p: int) -> Chain:
     the leaf multiset."""
     check_magma(term, p)
     return Chain(p, dict(expand_word(term)))
-
-
-def eta_comb(word: Word) -> MagmaTerm:
-    """The magma term whose commutator expansion equals eta of the word."""
-    if not word:
-        raise InputError("empty word has no bracketing")
-    term: MagmaTerm = word[0]
-    for a in word[1:]:
-        term = (a, term)
-    return term

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 import sys
+from operator import itemgetter
 
 from .chains import Chain, Word, accumulate
 from .moves import MagmaTerm
@@ -221,8 +222,18 @@ def render_chain(chain: Chain) -> str:
 def render_tensor(chain: Chain) -> str:
     """Tensor text of a tensor image: each word u.b of the chain is the term
     u (x) b, printed as coeff*([u] (x) b) and ordered by (b, u); '0' when zero.
-    This is the one place that splits the last letter off again."""
-    terms = sorted(chain.terms.items(), key=lambda kv: (kv[0][-1], kv[0][:-1]))
+    This is the one place that splits the last letter off again.
+
+    When every word has one length, as in every class image, that order is a
+    sort by word followed by a stable sort on the last letter, with no slice.
+    With mixed lengths the two differ ((1,2,1).2 sorts before (1,2).2 by word,
+    after it by (b, u)), so such a chain keeps the (b, u) key."""
+    items = chain.terms.items()
+    if len(set(map(len, chain.terms))) == 1:
+        terms = sorted(items, key=itemgetter(0))
+        terms.sort(key=lambda kv: kv[0][-1])
+    else:
+        terms = sorted(items, key=lambda kv: (kv[0][-1], kv[0][:-1]))
     return _signed_sum(terms, lambda n: "*([" + _letters(n - 1) + "] (x) %s)")
 
 

@@ -3,12 +3,13 @@ from itertools import permutations, product
 import pytest
 
 from swingwords.bases import (EVENRUN_VARIANTS, RunPredicate, enum_words,
-                              evenrun_experiment, h_basis, lie_basis,
+                              evenrun_experiment, h_basis, lie_basis, lyndon_words,
                               pattern_assignments, section4_table)
 from swingwords.chains import Chain
 from swingwords.dims import h_dim_multidegree, witt_multidegree
-from swingwords.linalg import RowSpace
-from swingwords.quotients import canonical_prime
+from swingwords.linalg import RowSpace, rank
+from swingwords.moves import eta_word
+from swingwords.quotients import _g_image_scaled, canonical_prime
 from swingwords.scalars import ResourceLimitError
 
 
@@ -147,3 +148,64 @@ def test_enum_words_6_6_without_walking_all_permutations():
     words = enum_words((6, 6))
     assert len(words) == 924
     assert words == sorted(set(words))
+
+
+# every multidegree of degree 1-7 over at most 4 letters: 329 of them
+SMALL_MULTIDEGREES = [md for md in product(range(8), repeat=4) if 1 <= sum(md) <= 7]
+
+
+def _full_row_greedy(md, image, target):
+    """The greedy scan on full rows: the reference for the Lyndon-column
+    selection."""
+    space = RowSpace()
+    chosen = []
+    for word in enum_words(md):
+        if space.rank == target:
+            break
+        if space.insert(image(word)):
+            chosen.append(word)
+    return chosen
+
+
+def test_lie_basis_matches_the_full_row_greedy():
+    for md in SMALL_MULTIDEGREES + [(2, 2, 2, 2)]:
+        assert lie_basis(md).words == _full_row_greedy(md, eta_word, witt_multidegree(md)), md
+
+
+def test_h_basis_matches_the_full_row_greedy():
+    for md in SMALL_MULTIDEGREES + [(3, 3, 3)]:
+        expected = _full_row_greedy(md, _g_image_scaled, h_dim_multidegree(md))
+        assert h_basis(md).words == expected, md
+
+
+def test_evenrun_ranks_match_the_full_rows():
+    for md in {md[:2] for md in SMALL_MULTIDEGREES if sum(md[:2])} | {(3, 5), (4, 4)}:
+        report = evenrun_experiment(md)
+        words = enum_words(md)
+        for predicate, variant in zip(EVENRUN_VARIANTS, report["variants"]):
+            full = rank(eta_word(w) for w in words if predicate.accepts(w))
+            assert variant["rank"] == full, (md, predicate.name)
+
+
+def _is_lyndon_by_rotation(word):
+    # strictly below each of its proper rotations
+    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def test_lyndon_words_match_the_rotation_definition():
+    for p in (1, 2, 3):
+        for n in range(1, 8):
+            by_md = {}
+            for word in product(range(1, p + 1), repeat=n):
+                if _is_lyndon_by_rotation(word):
+                    md = tuple(word.count(a) for a in range(1, p + 1))
+                    by_md.setdefault(md, []).append(word)
+            for md in product(range(n + 1), repeat=p):
+                if sum(md) == n:
+                    assert lyndon_words(md) == by_md.get(md, []), md
+
+
+def test_lyndon_word_count_is_the_necklace_number():
+    for md in product(range(9), repeat=4):
+        if 1 <= sum(md) <= 8:
+            assert len(lyndon_words(md)) == witt_multidegree(md), md

@@ -5,13 +5,22 @@ from hypothesis import given, strategies as st
 
 import swingwords.moves
 from swingwords.chains import Chain
-from swingwords.moves import (commutator_expand, eta, eta_comb, expand_word, fold_l,
-                              fold_prime, magma_leaves)
+from swingwords.moves import (commutator_expand, eta, expand_word, fold_l, fold_prime,
+                              magma_leaves)
 from swingwords.scalars import ResourceLimitError
 
 
 def chain_of(p, terms):
     return Chain(p, dict(terms))
+
+
+def eta_comb(word):
+    """The left comb (a_n, (.., (a_2, a_1))): its commutator expansion is
+    eta of the nonempty word a_1..a_n."""
+    term = word[0]
+    for a in word[1:]:
+        term = (a, term)
+    return term
 
 
 def test_eta_single_letter():

@@ -83,6 +83,45 @@ def test_render_edge_cases():
     assert render_chain(Chain(12, {}, 5)) == render_tensor(Chain(12, {}, 5)) == "0"
 
 
+def test_render_tensor_with_mixed_lengths_keeps_the_b_u_order():
+    # by word (1,2,1,2) comes first; by (b, u) [1,2] (x) 2 does
+    chain = Chain(2, {(1, 2, 1, 2): 1, (1, 2, 2): -1})
+    assert render_tensor(chain) == "-1*([1,2] (x) 2) + 1*([1,2,1] (x) 2)"
+    chain = Chain(3, {(1, 3): 2, (1,): 1, (1, 2, 3): -1, (2, 3, 1): -1})
+    assert render_tensor(chain) == (
+        "1*([] (x) 1) - 1*([2,3] (x) 1) + 2*([1] (x) 3) - 1*([1,2] (x) 3)")
+
+
+@pytest.mark.parametrize("char", FIELDS)
+@pytest.mark.parametrize("lengths", [[1], [1, 2], [3, 4], [7, 8], [1, 5, 9]])
+def test_render_tensor_mixed_lengths_where_word_order_differs(char, lengths):
+    # each word u.b comes with u.x.b for a letter x < b, which sorts before
+    # it by word and after it by (b, u)
+    rng = random.Random(f"mixed:{lengths}:{char}")
+    for size in (1, 4, 20, 60):
+        terms = {}
+        for _ in range(size):
+            word = tuple(rng.randint(1, 4) for _ in range(rng.choice(lengths) - 1))
+            b = rng.randint(2, 4)
+            # no coefficient here vanishes mod 5, so every word stays
+            terms[word + (b,)] = rng.choice((1, -7, Fraction(1, 2)))
+            terms[word + (rng.randint(1, b - 1), b)] = rng.choice((-1, 2, Fraction(22, 7)))
+        chain = Chain(4, terms, char)
+        words = sorted(chain.terms)
+        words.sort(key=lambda w: w[-1])
+        assert words != sorted(chain.terms, key=lambda w: (w[-1], w[:-1]))
+        assert render_tensor(chain) == ref_render_tensor(chain)
+
+
+@pytest.mark.parametrize("char", FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_render_tensor_one_length_matches_the_reference(char, n):
+    rng = random.Random(f"one:{n}:{char}")
+    for size in (1, 3, 40, 200):
+        chain = _random_chain(rng, 4, char, [n], size)
+        assert render_tensor(chain) == ref_render_tensor(chain)
+
+
 words = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=14).map(tuple)
 coeffs = st.one_of(st.integers(min_value=-30, max_value=30),
                    st.fractions(min_value=-9, max_value=9, max_denominator=12)
