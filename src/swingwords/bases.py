@@ -15,6 +15,15 @@ of the rows: an insert raises the rank exactly when the full row would, the
 same words are chosen and the same ranks reported, over about 1/n of the
 columns.
 
+Each row is built at its columns only, from memoized images one degree down
+or lower, and the whole top-degree image is never built or memoized:
+- eta(u.a) = a.eta(u) - eta(u).a, so `eta_at` reads each term of the
+  memoized eta(u) once and keeps the two words it gives that are columns;
+- the g-image is a sum of products of memoized eta terms (the bracket
+  recursion of `quotients._g_image_scaled`), and `g_image_rows` splits each
+  column at each cut and looks up only the products that land on it.
+Both give exactly the restriction of the full image, term for term.
+
 An h basis is certified by the dimension of the kernel of the re-attachment
 map ell on (Lie part) tensor (letters), an exact rank computation over Q
 (`ell_ranks`): the ambient rows that raise the rank span the ambient space, so
@@ -33,19 +42,29 @@ from .chains import Multidegree, Word, accumulate, word_count, word_multidegree
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
-from .quotients import _g_image_scaled
 from .scalars import MAX_WORDS, InputError, ResourceLimitError
+
+
+def _word_block(m) -> Multidegree:
+    """The multidegree as a tuple, refused unless its entries are
+    non-negative and it has at most MAX_WORDS words.
+
+    The bound is checked before any count or formula: a block with
+    n - max(md) >= MAX_WORDS.bit_length() has at least 2^(n - max md) words
+    (see `dims._refuse_before`) and is refused at once; below that,
+    `word_count` is a product of small binomials."""
+    md = tuple(m)
+    if not md or any(x < 0 for x in md):
+        raise InputError(f"bad multidegree {m!r}")
+    if sum(md) - max(md) >= MAX_WORDS.bit_length() or word_count(md) > MAX_WORDS:
+        raise ResourceLimitError(
+            f"multidegree {md} has more words than the bound {MAX_WORDS}")
+    return md
 
 
 def enum_words(m) -> list[Word]:
     """All words with the given multidegree, in lexicographic order."""
-    md = tuple(m)
-    if not md or any(x < 0 for x in md):
-        raise InputError(f"bad multidegree {m!r}")
-    count = word_count(md)
-    if count > MAX_WORDS:
-        raise ResourceLimitError(
-            f"multidegree {md} has {count} words, over the bound {MAX_WORDS}")
+    md = _word_block(m)
     letters = []
     for letter, x in enumerate(md, start=1):
         letters.extend([letter] * x)
@@ -75,13 +94,147 @@ def lyndon_words(m) -> list[Word]:
     """The Lyndon words of a multidegree, in lexicographic order: the words
     strictly below each of their proper suffixes. Their coefficients fix a
     Lie element of that multidegree, so they are the columns every Lie row is
-    ranked on."""
-    return [w for w in enum_words(m) if all(w < w[i:] for i in range(1, len(w)))]
+    ranked on.
+
+    They are generated directly by the FKM walk over the prenecklaces of
+    that content (Fredricksen-Kessler-Maiorana; with fixed content, Sawada,
+    Theoret. Comput. Sci. 301, 2003). Position t takes, in increasing order,
+    each letter from a_{t-p} up that has copies left, where p is the period
+    of a_1..a_{t-1}: the period stays p when the letter is a_{t-p} and
+    becomes t when it is larger. A full word is Lyndon exactly when its
+    period is its length. Two kinds of branch that complete no Lyndon word
+    are never entered: a first letter above the smallest letter present (no
+    later letter may lie below a_1), and, for n >= 2, a prefix after which
+    only copies of a_1 remain (a Lyndon word of length >= 2 ends above its
+    first letter). The walk keeps its own stack, so a long content needs no
+    recursion, and it cuts those branches at once, so a content such as
+    (m, 1) takes O(m) steps."""
+    md = _word_block(m)
+    n = sum(md)
+    if n == 0:
+        return [()]
+    k = len(md)
+    first = next(b for b, x in enumerate(md, start=1) if x)
+    above = n - md[first - 1]  # copies of the letters above the first not yet placed
+    if not above:  # one letter, n times
+        return [(first,)] if n == 1 else []
+    left = [0, *md]  # copies of each letter not yet placed
+    left[first] -= 1
+    a = [0] * (n + 1)  # a[t] = 0: nothing placed at t yet
+    a[1] = first
+    period = [1] * (n + 1)  # period[t]: the period of a_1..a_{t-1}
+    out: list[Word] = []
+    t = 2
+    while t > 1:
+        j = a[t]
+        if j:  # take back the letter at t and try the next one
+            left[j] += 1
+            above += j != first
+            j += 1
+        else:
+            j = a[t - period[t]]
+        while j <= k and not left[j]:
+            j += 1
+        if j > k:
+            a[t] = 0
+            t -= 1
+            continue
+        a[t] = j
+        left[j] -= 1
+        above -= j != first
+        p = period[t] if j == a[t - period[t]] else t
+        if t == n:
+            if p == n:
+                out.append(tuple(a[1:]))
+        elif above:
+            t += 1
+            period[t] = p
+    return out
+
+
+def eta_at(word: Word, columns: dict[Word, Word]) -> dict[Word, int]:
+    """eta(word) at the given columns only, read off the memoized eta of the
+    word's prefix: eta(u.a) = a.eta(u) - eta(u).a, so each term c x of eta(u)
+    gives c at a.x and -c at x.a, kept when they are columns. The image of
+    the whole word is neither built nor memoized. A letter is its own eta,
+    and the empty word's is 0.
+
+    `columns` maps each column to the one tuple of it that the rows are keyed
+    by, so that the rows of one scan share their keys and row reduction
+    matches them by identity before comparing letters."""
+    if len(word) < 2:
+        return {columns[word]: 1} if word and word in columns else {}
+    last = word[-1:]
+    prefix = eta_word(word[:-1]).items()
+    column = columns.get
+    row = {w: c for x, c in prefix if (w := column(last + x)) is not None}
+    return accumulate(((w, c) for x, c in prefix if (w := column(x + last)) is not None),
+                      row, -1)
 
 
 def _removals(md: Multidegree) -> list[tuple[int, Multidegree]]:
     """(b, md - e_b) for each letter b that occurs in md."""
     return [(b, md[:b - 1] + (x - 1,) + md[b:]) for b, x in enumerate(md, start=1) if x]
+
+
+def g_image_rows(md: Multidegree):
+    """A function taking each word of md to its scaled g-image at the h
+    columns l.b only, with l a Lyndon word of md - e_b: the row
+    `quotients._g_image_scaled(word)` restricted to those columns, built
+    without the full image.
+
+    The bracket recursion there (its docstring derives it) sums, at each cut
+    2 <= k < n, the products u.v.a_k and -v.u.a_k over the terms u of
+    E_{k-1} and v of Z_k, times (-1)^(k+1). So a column x = l.a_k receives
+    u.v exactly when l splits as u.v with |u| = k - 1, and v.u when it
+    splits as v.u with |v| = n - k. The columns are indexed once per call by
+    their last letter and, at each cut, by both splits (a letter that ends
+    no column gets no index); each bracket then reads the terms of E_{k-1}
+    and of Z_k once and looks up the columns they begin, about
+    sum_k (|E_{k-1}| + |Z_k|) steps plus the matches, against the 2^(n-2)
+    products of each full bracket. The two boundary terms, (-1)^n
+    E_{n-1}.a_n and Z_1.a_1, are read at each column directly."""
+    n = sum(md)
+    tails: dict[int, list[tuple[Word, Word]]] = {}
+    cuts: dict[tuple[int, int], tuple[dict, dict]] = {}
+    for b, rest in _removals(md):
+        columns = tails[b] = [(l, l + (b,)) for l in lyndon_words(rest)]
+        if not columns:  # md - e_b is one letter, twice or more
+            continue
+        for k in range(2, n):
+            fronts: dict[Word, list] = {}
+            backs: dict[Word, list] = {}
+            for l, x in columns:
+                fronts.setdefault(l[:k - 1], []).append((l[k - 1:], x))
+                backs.setdefault(l[:n - k], []).append((l[n - k:], x))
+            cuts[b, k] = fronts, backs
+    sign = 1 if n % 2 == 0 else -1
+
+    def row(word: Word) -> dict[Word, int]:
+        prefix = eta_word(word[:-1])
+        terms = [(x, sign * c) for l, x in tails[word[-1]] if (c := prefix.get(l))]
+        right = eta_word(word[1:][::-1])
+        terms += [(x, c) for l, x in tails[word[0]] if (c := right.get(l))]
+        for k in range(2, n):
+            split = cuts.get((word[k - 1], k))
+            if split is None:  # no column ends in a_k
+                continue
+            fronts, backs = split
+            left = eta_word(word[:k - 1])
+            right = eta_word(word[k:][::-1])
+            s = -1 if k % 2 == 0 else 1
+            for u, c in left.items():
+                for v, x in fronts.get(u, ()):
+                    d = right.get(v)
+                    if d:
+                        terms.append((x, s * c * d))
+            for v, d in right.items():
+                for u, x in backs.get(v, ()):
+                    c = left.get(u)
+                    if c:
+                        terms.append((x, -s * c * d))
+        return accumulate(terms)
+    return row
 
 
 @dataclass
@@ -109,16 +262,17 @@ def lie_basis(m) -> BasisSet:
 
     Each eta(w) lies in Lie_n and is ranked at the Lyndon words of md only:
     that restriction is injective on Lie_n, so it raises the rank exactly
-    when the full row would and the same words are chosen."""
-    md = tuple(m)
+    when the full row would and the same words are chosen. Each row is built
+    at those columns only (`eta_at`)."""
+    md = _word_block(m)
     target = witt_multidegree(md)
-    lyndon = set(lyndon_words(md))
+    lyndon = {w: w for w in lyndon_words(md)}
     space = RowSpace()
     chosen: list[Word] = []
     for word in enum_words(md):
         if space.rank == target:
             break
-        if space.insert({w: c for w, c in eta_word(word).items() if w in lyndon}):
+        if space.insert(eta_at(word, lyndon)):
             chosen.append(word)
     if len(chosen) != target:
         raise ArithmeticError(
@@ -134,16 +288,17 @@ def h_basis(m) -> BasisSet:
     Each g-image lies in Lie_{n-1} (x) V, stored as words u.b, and is ranked
     at the words l.b with l a Lyndon word of md - e_b only: that restriction
     is injective on Lie_{n-1} (x) V, one letter b at a time, so it raises the
-    rank exactly when the full row would and the same words are chosen."""
-    md = tuple(m)
+    rank exactly when the full row would and the same words are chosen.
+    Each row is built at those columns only (`g_image_rows`)."""
+    md = _word_block(m)
     target = h_dim_multidegree(md)
-    columns = {u + (b,) for b, rest in _removals(md) for u in lyndon_words(rest)}
+    g_row = g_image_rows(md)
     space = RowSpace()
     chosen: list[Word] = []
     for word in enum_words(md):
         if space.rank == target:
             break
-        if space.insert({w: c for w, c in _g_image_scaled(word).items() if w in columns}):
+        if space.insert(g_row(word)):
             chosen.append(word)
     if len(chosen) != target:
         raise ArithmeticError(
@@ -167,37 +322,34 @@ def ell_ranks(pairs, p: int) -> tuple[int, int]:
     - Bracket rows: eta sends a Lie element x of degree d to (-1)^(d-1) d x
       (Dynkin-Specht-Wever; Reutenauer, Free Lie Algebras, 1993, Thm 1.4)
       and eta(x.b) = b.eta(x) - eta(x).b, so ell(eta(u).b) = -(n - 1)/n *
-      (b.eta(u) - eta(u).b): the bracket spans the line of the image row
-      with no degree-n eta.
+      (b.eta(u) - eta(u).b) = -(n - 1)/n * eta(u.b): the bracket spans the
+      line of the image row.
     - Lyndon columns: ambient rows (eta(u) with b appended) and bracket
       rows are Lie elements, read at the Lyndon words of their multidegree
       only (`lyndon_words`; see the module docstring): the same ranks,
-      raised by the same rows, over about 1/n of the columns.
+      raised by the same rows, over about 1/n of the columns. Both are built
+      at those columns from the memoized eta one degree down (`eta_at`), so
+      no degree-n eta is built.
 
     Over F_q the multiple needs q to divide neither n nor n - 1, so the
     certificate stays over Q.
     """
     ambient = RowSpace()
     image = RowSpace()
-    found: dict[Multidegree, set[Word]] = {}
+    found: dict[Multidegree, dict[Word, Word]] = {}
 
-    def lyndon_of(word: Word) -> set[Word]:
+    def lyndon_of(word: Word) -> dict[Word, Word]:
         # the Lyndon words of the word's multidegree, listed once per call
         md = word_multidegree(word, p)
         words = found.get(md)
         if words is None:
-            words = found[md] = set(lyndon_words(md))
+            words = found[md] = {w: w for w in lyndon_words(md)}
         return words
 
     for u, letter in pairs:
-        lie = eta_word(u).items()
-        columns = lyndon_of(u)
-        if ambient.insert({w + (letter,): c for w, c in lie if w in columns}):
-            head = (letter,)
-            bracket = accumulate(((w + head, -c) for w, c in lie),
-                                 {head + w: c for w, c in lie})
-            columns = lyndon_of(u + head)
-            image.insert({w: c for w, c in bracket.items() if w in columns})
+        tail = (letter,)
+        if ambient.insert({w + tail: c for w, c in eta_at(u, lyndon_of(u)).items()}):
+            image.insert(eta_at(u + tail, lyndon_of(u + tail)))
     return ambient.rank, image.rank
 
 
@@ -359,15 +511,16 @@ def evenrun_experiment(m, variants: list[RunPredicate] | None = None) -> dict:
     md = tuple(m)
     if len(md) != 2:
         raise InputError("the even-run experiment is about two-letter words")
+    md = _word_block(md)
     target = witt_multidegree(md)
     words = enum_words(md)
-    lyndon = set(lyndon_words(md))
+    lyndon = {w: w for w in lyndon_words(md)}
     results = []
     for predicate in variants or EVENRUN_VARIANTS:
         passing = [w for w in words if predicate.accepts(w)]
         space = RowSpace()
         for word in passing:
-            space.insert({w: c for w, c in eta_word(word).items() if w in lyndon})
+            space.insert(eta_at(word, lyndon))
         results.append({
             "variant": predicate.name,
             "count": len(passing),

@@ -23,7 +23,7 @@ divided once on the way out (`scalars.cleared`, `scalars.divided`).
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from .scalars import InputError, check_characteristic, field_coefficient
@@ -47,15 +47,14 @@ def word_multidegree(word: Word, p: int) -> Multidegree:
 
 
 def word_count(md) -> int:
-    """The number of words with letter counts md: a multinomial coefficient."""
-    count = factorial(sum(md))
-    for x in md:
-        count //= factorial(x)
+    """The number of words with letter counts md: the multinomial
+    (sum md)! / prod(m!), as a product of binomials with the largest part
+    first, so each later factor is a small binomial."""
+    total, count = 0, 1
+    for x in sorted(md, reverse=True):
+        total += x
+        count *= comb(total, x)
     return count
-
-
-def reverse_word(word: Word) -> Word:
-    return word[::-1]
 
 
 def accumulate(pairs: Iterable[tuple[object, object]], out: dict | None = None,
@@ -213,4 +212,4 @@ def reverse(value):
     """Reverse a word, or a chain termwise."""
     if isinstance(value, Chain):
         return value.reverse()
-    return reverse_word(tuple(value))
+    return tuple(value)[::-1]

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import gcd
 
-from .chains import Multidegree
+from .chains import Multidegree, word_count
 from .quotients import Family, relation_span
 from .scalars import InputError, ResourceLimitError
 
@@ -68,15 +68,6 @@ def witt_total(n: int, p: int) -> int:
     return _exact_div(total, n)
 
 
-def _multinomial(parts) -> int:
-    """(sum of parts)! / prod(part!), as a product of binomials."""
-    total, result = 0, 1
-    for x in sorted(parts, reverse=True):
-        total += x
-        result *= comb(total, x)
-    return result
-
-
 def _check_multidegree(m) -> Multidegree:
     md = tuple(m)
     if not md or any(not isinstance(x, int) or x < 0 for x in md):
@@ -90,7 +81,7 @@ def witt_multidegree(m) -> int:
     """The necklace number: dimension of the multidegree-m piece of the free
     Lie algebra; summed over all multidegrees of total n it gives witt_total."""
     md = _check_multidegree(m)
-    total = sum(mu * _multinomial(x // d for x in md)
+    total = sum(mu * word_count(x // d for x in md)
                 for d, mu in _moebius_divisors(gcd(*md)))
     return _exact_div(total, sum(md))
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product, starmap
 
-from .bases import ell_ranks, lyndon_words
+from .bases import ell_ranks, eta_at, lyndon_words
 from .chains import Chain, Word, word_multidegree
 from .dims import h_dim_total, rank_oracle, witt_total
 from .linalg import RowSpace, row_space
@@ -247,8 +247,8 @@ def kernel_matches_relations(n: int, p: int) -> bool:
     multidegree: every stored relation row dies under eta, so the span lies
     in the kernel, and the span's rank plus the rank of eta's image is the
     number of words, so the two have one dimension. eta's image lies in
-    Lie_n, so its rows are ranked at the Lyndon words of the block only, as
-    in `bases.lie_basis`."""
+    Lie_n, so its rows are ranked at the Lyndon words of the block only, and
+    built there only (`bases.eta_at`), as in `bases.lie_basis`."""
     span = relation_span(n, p, "l")
     by_md: dict = {}
     for w in _words(p, n):
@@ -257,9 +257,8 @@ def kernel_matches_relations(n: int, p: int) -> bool:
         block = span.blocks[md]
         if any(linear_image(row, eta_word) for row in block.pivots.values()):
             return False
-        lyndon = set(lyndon_words(md))
-        image = row_space({v: c for v, c in eta_word(w).items() if v in lyndon}
-                          for w in words)
+        lyndon = {w: w for w in lyndon_words(md)}
+        image = row_space(eta_at(w, lyndon) for w in words)
         if block.rank + image.rank != len(words):
             return False
     return True

@@ -1,16 +1,19 @@
+import time
 from itertools import permutations, product
 
 import pytest
 
-from swingwords.bases import (EVENRUN_VARIANTS, RunPredicate, enum_words,
-                              evenrun_experiment, h_basis, lie_basis, lyndon_words,
-                              pattern_assignments, section4_table)
+import swingwords.moves
+import swingwords.quotients
+from swingwords.bases import (EVENRUN_VARIANTS, RunPredicate, _removals, enum_words, eta_at,
+                              evenrun_experiment, g_image_rows, h_basis, lie_basis,
+                              lyndon_words, pattern_assignments, section4_table)
 from swingwords.chains import Chain
 from swingwords.dims import h_dim_multidegree, witt_multidegree
 from swingwords.linalg import RowSpace, rank
 from swingwords.moves import eta_word
 from swingwords.quotients import _g_image_scaled, canonical_prime
-from swingwords.scalars import ResourceLimitError
+from swingwords.scalars import InputError, ResourceLimitError
 
 
 def test_enum_words_examples():
@@ -209,3 +212,85 @@ def test_lyndon_word_count_is_the_necklace_number():
     for md in product(range(9), repeat=4):
         if 1 <= sum(md) <= 8:
             assert len(lyndon_words(md)) == witt_multidegree(md), md
+
+
+def test_lyndon_words_of_a_long_content_need_no_recursion():
+    assert lyndon_words((5000,)) == [] == lyndon_words((10**9,))
+    assert lyndon_words((1, 5000)) == [(1,) + (2,) * 5000]
+    assert lyndon_words((5000, 1)) == [(1,) * 5000 + (2,)]
+
+
+def test_g_image_rows_index_no_letter_that_ends_no_column():
+    # md - e_1 is one letter a million times: no Lyndon word, so no column,
+    # and no index per cut is built
+    start = time.perf_counter()
+    g_image_rows((10**6,))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_lyndon_words_edge_contents():
+    assert lyndon_words((0,)) == [()] == lyndon_words((0, 0, 0))
+    assert lyndon_words((0, 1)) == [(2,)]
+    assert lyndon_words((0, 2, 0, 1)) == [(2, 2, 4)]
+    with pytest.raises(InputError):
+        lyndon_words((1, -1))
+    with pytest.raises(InputError):
+        lyndon_words(())
+
+
+@pytest.mark.parametrize("build", [enum_words, lyndon_words, lie_basis, h_basis])
+def test_oversized_blocks_are_refused_before_any_count(build):
+    for md in ((30000, 30000), (200000, 200000), (12, 12)):
+        with pytest.raises(ResourceLimitError, match="bound 2000000"):
+            build(md)
+
+
+# every multidegree through degree 7 over 3 letters, through degree 6 over 4,
+# and (3, 3, 3)
+ROW_MULTIDEGREES = ([md for md in product(range(8), repeat=3) if 1 <= sum(md) <= 7]
+                    + [md for md in product(range(7), repeat=4) if 1 <= sum(md) <= 6]
+                    + [(3, 3, 3)])
+
+
+def _restricted(terms, columns):
+    return {w: c for w, c in terms.items() if w in columns}
+
+
+def test_eta_at_is_the_restricted_eta_word():
+    for md in ROW_MULTIDEGREES:
+        columns = {w: w for w in lyndon_words(md)}
+        for word in enum_words(md):
+            row = eta_at(word, columns)
+            assert row == _restricted(eta_word(word), columns), word
+            # keyed by the column tuples themselves, shared by every row
+            assert all(w is columns[w] for w in row), word
+
+
+def test_eta_at_every_column_is_eta_word():
+    # with every word a column, a.x and y.a can coincide and must cancel
+    for md in ((2, 2), (2, 1, 1), (1, 2, 2), (3, 2)):
+        columns = {w: w for w in enum_words(md)}
+        for word in columns:
+            assert eta_at(word, columns) == eta_word(word), word
+    assert eta_at((), {(): ()}) == {}
+    assert eta_at((2,), {(2,): (2,)}) == {(2,): 1}
+    assert eta_at((2,), {(1,): (1,)}) == {}
+
+
+def test_g_image_rows_are_the_restricted_g_image():
+    for md in ROW_MULTIDEGREES:
+        columns = {l + (b,) for b, rest in _removals(md) for l in lyndon_words(rest)}
+        row = g_image_rows(md)
+        for word in enum_words(md):
+            assert row(word) == _restricted(_g_image_scaled(word), columns), word
+
+
+def test_basis_scans_memoize_no_top_degree_image(monkeypatch):
+    monkeypatch.setattr(swingwords.moves, "_ETA_MEMO", {})
+    monkeypatch.setattr(swingwords.quotients, "_PRIME_IMAGE_MEMO", {})
+    for md in ((2, 2, 2, 1), (3, 3, 1)):
+        lie_basis(md)
+        h_basis(md)
+        assert swingwords.moves._ETA_MEMO
+        assert max(map(len, swingwords.moves._ETA_MEMO)) < sum(md), md
+    assert swingwords.quotients._PRIME_IMAGE_MEMO == {}

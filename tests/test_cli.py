@@ -229,6 +229,18 @@ def test_dims_refuses_large_queries_before_computing(capsys, argv, reason, fmt):
     assert err.startswith("error: ") and reason in err
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "--space", "lie"), ("enumerate", "--space", "h"),
+                                  ("evenruns",)])
+@pytest.mark.parametrize("md", ["30000,30000", "200000,200000"])
+def test_oversized_word_blocks_exit_two_before_counting(capsys, argv, md):
+    # the word count has over 4,300 digits: the refusal names the bound only
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--multidegree", md)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == f"error: multidegree ({md.replace(',', ', ')}) has more words than the bound 2000000\n"
+
+
 def test_dims_necklace_needs_a_multidegree(capsys):
     code, out, err = run(capsys, "dims", "necklace", "--n", "3", "--p", "2")
     assert (code, out, err) == (2, "", "error: necklace needs --multidegree\n")

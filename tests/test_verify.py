@@ -79,6 +79,18 @@ def test_kernel_check_fails_on_a_wrong_span_block(monkeypatch):
     assert patched(row_space(rows))
 
 
+def test_kernel_check_ranks_whole_eta_rows(monkeypatch):
+    # the image rows come from bases.eta_at: a helper that drops the -x.a
+    # half of eta(u.a) = a.eta(u) - eta(u).a leaves the image rank short
+    assert kernel_matches_relations(5, 2) and kernel_matches_relations(4, 3)
+
+    def half_eta_at(word, columns):
+        last = word[-1:]
+        return {w: c for x, c in eta_word(word[:-1]).items() if (w := last + x) in columns}
+    monkeypatch.setattr(swingwords.verify, "eta_at", half_eta_at)
+    assert not kernel_matches_relations(3, 2)
+
+
 def test_head_tail_failures_leave_the_move_records_standing(monkeypatch):
     # every (head, tail) choice but to_vertebrate's reads twice the chain: the
     # head/tail records fail, and the swap and expansion records still pass,
