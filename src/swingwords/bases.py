@@ -152,6 +152,13 @@ def lyndon_words(m) -> list[Word]:
     return out
 
 
+def lyndon_columns(m) -> dict[Word, Word]:
+    """The Lyndon words of a multidegree as the columns `eta_at` reads,
+    each mapped to itself, so that every row of one scan is keyed by the same
+    tuples and row reduction matches them by identity."""
+    return {w: w for w in lyndon_words(m)}
+
+
 def eta_at(word: Word, columns: dict[Word, Word]) -> dict[Word, int]:
     """eta(word) at the given columns only, read off the memoized eta of the
     word's prefix: eta(u.a) = a.eta(u) - eta(u).a, so each term c x of eta(u)
@@ -160,8 +167,7 @@ def eta_at(word: Word, columns: dict[Word, Word]) -> dict[Word, int]:
     and the empty word's is 0.
 
     `columns` maps each column to the one tuple of it that the rows are keyed
-    by, so that the rows of one scan share their keys and row reduction
-    matches them by identity before comparing letters."""
+    by (`lyndon_columns`)."""
     if len(word) < 2:
         return {columns[word]: 1} if word and word in columns else {}
     last = word[-1:]
@@ -266,7 +272,7 @@ def lie_basis(m) -> BasisSet:
     at those columns only (`eta_at`)."""
     md = _word_block(m)
     target = witt_multidegree(md)
-    lyndon = {w: w for w in lyndon_words(md)}
+    lyndon = lyndon_columns(md)
     space = RowSpace()
     chosen: list[Word] = []
     for word in enum_words(md):
@@ -343,7 +349,7 @@ def ell_ranks(pairs, p: int) -> tuple[int, int]:
         md = word_multidegree(word, p)
         words = found.get(md)
         if words is None:
-            words = found[md] = {w: w for w in lyndon_words(md)}
+            words = found[md] = lyndon_columns(md)
         return words
 
     for u, letter in pairs:
@@ -514,7 +520,7 @@ def evenrun_experiment(m, variants: list[RunPredicate] | None = None) -> dict:
     md = _word_block(md)
     target = witt_multidegree(md)
     words = enum_words(md)
-    lyndon = {w: w for w in lyndon_words(md)}
+    lyndon = lyndon_columns(md)
     results = []
     for predicate in variants or EVENRUN_VARIANTS:
         passing = [w for w in words if predicate.accepts(w)]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product, starmap
 
-from .bases import ell_ranks, eta_at, lyndon_words
+from .bases import ell_ranks, eta_at, lyndon_columns
 from .chains import Chain, Word, word_multidegree
 from .dims import h_dim_total, rank_oracle, witt_total
 from .linalg import RowSpace, row_space
@@ -257,8 +257,8 @@ def kernel_matches_relations(n: int, p: int) -> bool:
         block = span.blocks[md]
         if any(linear_image(row, eta_word) for row in block.pivots.values()):
             return False
-        lyndon = {w: w for w in lyndon_words(md)}
-        image = row_space(eta_at(w, lyndon) for w in words)
+        columns = lyndon_columns(md)
+        image = row_space(eta_at(w, columns) for w in words)
         if block.rank + image.rank != len(words):
             return False
     return True

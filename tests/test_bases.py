@@ -1,4 +1,4 @@
-import time
+import inspect
 from itertools import permutations, product
 
 import pytest
@@ -7,7 +7,7 @@ import swingwords.moves
 import swingwords.quotients
 from swingwords.bases import (EVENRUN_VARIANTS, RunPredicate, _removals, enum_words, eta_at,
                               evenrun_experiment, g_image_rows, h_basis, lie_basis,
-                              lyndon_words, pattern_assignments, section4_table)
+                              lyndon_columns, lyndon_words, pattern_assignments, section4_table)
 from swingwords.chains import Chain
 from swingwords.dims import h_dim_multidegree, witt_multidegree
 from swingwords.linalg import RowSpace, rank
@@ -221,11 +221,14 @@ def test_lyndon_words_of_a_long_content_need_no_recursion():
 
 
 def test_g_image_rows_index_no_letter_that_ends_no_column():
-    # md - e_1 is one letter a million times: no Lyndon word, so no column,
-    # and no index per cut is built
-    start = time.perf_counter()
-    g_image_rows((10**6,))
-    assert time.perf_counter() - start < 0.5
+    # when md - e_b is one letter twice or more it has no Lyndon word, so no
+    # column ends in b and no index per cut is built for b
+    def indexed_letters(md):
+        cuts = inspect.getclosurevars(g_image_rows(md)).nonlocals["cuts"]
+        return {b for b, _ in cuts}
+    assert indexed_letters((10**6,)) == set()
+    assert indexed_letters((3, 1)) == {1}
+    assert indexed_letters((2, 2)) == {1, 2}
 
 
 def test_lyndon_words_edge_contents():
@@ -258,7 +261,7 @@ def _restricted(terms, columns):
 
 def test_eta_at_is_the_restricted_eta_word():
     for md in ROW_MULTIDEGREES:
-        columns = {w: w for w in lyndon_words(md)}
+        columns = lyndon_columns(md)
         for word in enum_words(md):
             row = eta_at(word, columns)
             assert row == _restricted(eta_word(word), columns), word

@@ -8,7 +8,8 @@ command and side the report gives the median and quartiles of the wall time
 and of the child's peak resident memory (`ru_maxrss`, read with `os.wait4`
 on that child only), and the number of pairs each side ran faster. Every run
 of a command must print the same stdout on both sides, with the same exit
-code; its sha256 is reported, and a mismatch fails the run.
+code; its sha256 is reported, and a mismatch fails the run. A run still
+going after KILL_AFTER_S seconds is killed.
 
 The command list holds the README commands, the four default verify suites,
 and the rank-oracle and enumeration steps of CI. Run from the repository
@@ -17,7 +18,7 @@ root, with the parent commit's files in another directory:
     python3 tools/clibench.py PARENT_TREE CHANGE_TREE [--pairs 5]
         [--only NAME ...] [--json FRAGMENT.json]
 
-`--list` prints the command names. The JSON fragment, under the key
+The JSON fragment, under the key
 `clibench`, is meant to be pasted into a `BENCH_<n>.json` file. The exit
 code is 1 when a digest or an exit code differs, 0 otherwise.
 """
@@ -38,6 +39,7 @@ import time
 from pathlib import Path
 
 _TREE = "tests/golden/cli/inputs/readme_tree.json"
+KILL_AFTER_S = 600.0
 
 COMMANDS: dict[str, list[str]] = {
     # the README command list
@@ -69,14 +71,14 @@ COMMANDS: dict[str, list[str]] = {
 }
 
 
-def run_once(tree: Path, argv: list[str], timeout: float) -> dict:
+def run_once(tree: Path, argv: list[str]) -> dict:
     """One fresh process: wall time, peak RSS in MiB, exit code, stdout sha256."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "swingwords.cli", *argv], cwd=tree,
                                 env=env, stdout=out, stderr=subprocess.DEVNULL)
-        killer = threading.Timer(timeout, proc.kill)
+        killer = threading.Timer(KILL_AFTER_S, proc.kill)
         killer.start()
         _, status, usage = os.wait4(proc.pid, 0)
         killer.cancel()
@@ -97,7 +99,7 @@ def _spread(values: list[float]) -> dict:
 
 
 def compare(parent: Path, change: Path, commands: dict[str, list[str]], pairs: int,
-            timeout: float = 600.0, log=None) -> dict:
+            log=None) -> dict:
     """Run every command `pairs` times on each tree, alternating the side
     that goes first, and summarise each command."""
     results = {}
@@ -106,8 +108,7 @@ def compare(parent: Path, change: Path, commands: dict[str, list[str]], pairs: i
         for i in range(pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(parent if side == "parent" else change,
-                                           argv, timeout))
+                runs[side].append(run_once(parent if side == "parent" else change, argv))
         outcomes = {(r["stdout_sha256"], r["exit_code"])
                     for side in runs.values() for r in side}
         wins = sum(c["wall_s"] < p["wall_s"] for p, c in zip(runs["parent"], runs["change"]))
@@ -137,24 +138,17 @@ def compare(parent: Path, change: Path, commands: dict[str, list[str]], pairs: i
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, nargs="?")
-    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--only", nargs="+", choices=sorted(COMMANDS), metavar="NAME")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds before a run is killed")
     parser.add_argument("--json", type=Path, help="write the JSON fragment here")
-    parser.add_argument("--list", action="store_true", help="print the command names")
     args = parser.parse_args(argv)
-    if args.list:
-        for name, command in COMMANDS.items():
-            print(f"{name:<26} {' '.join(command)}")
-        return 0
-    if args.parent is None or args.change is None or args.pairs < 1:
-        parser.error("give two source trees and --pairs >= 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     commands = {name: COMMANDS[name] for name in args.only or COMMANDS}
     results = compare(args.parent.resolve(), args.change.resolve(), commands, args.pairs,
-                      args.timeout, log=sys.stdout)
+                      log=sys.stdout)
     fragment = {"clibench": {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
