@@ -35,10 +35,10 @@ computed over Q.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
 
-from .chains import Multidegree, Word, accumulate, word_count, word_multidegree
+from .chains import Multidegree, Word, accumulate, word_count
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
@@ -63,8 +63,15 @@ def _word_block(m) -> Multidegree:
 
 
 def enum_words(m) -> list[Word]:
-    """All words with the given multidegree, in lexicographic order."""
+    """All words with the given multidegree, in lexicographic order, refused
+    before any is built when together they hold more letters than
+    MAX_WORDS words of MAX_WORDS.bit_length() letters each: the word bound
+    alone admits a few words of many letters, such as one of 10^9."""
     md = _word_block(m)
+    limit = MAX_WORDS * MAX_WORDS.bit_length()
+    if word_count(md) * sum(md) > limit:
+        raise ResourceLimitError(
+            f"the words of multidegree {md} hold more letters than the bound {limit}")
     letters = []
     for letter, x in enumerate(md, start=1):
         letters.extend([letter] * x)
@@ -152,11 +159,12 @@ def lyndon_words(m) -> list[Word]:
     return out
 
 
-def lyndon_columns(m) -> dict[Word, Word]:
-    """The Lyndon words of a multidegree as the columns `eta_at` reads,
-    each mapped to itself, so that every row of one scan is keyed by the same
-    tuples and row reduction matches them by identity."""
-    return {w: w for w in lyndon_words(m)}
+def lyndon_columns(m, tail: Word = ()) -> dict[Word, Word]:
+    """The column map of every Lie row: each Lyndon word l of a multidegree,
+    mapped to the key l + tail that every row of one scan is keyed by, so
+    that row reduction matches keys by identity. With a letter b as the tail
+    these are the columns l.b of (Lie part) tensor b."""
+    return {l: l + tail for l in lyndon_words(m)}
 
 
 def eta_at(word: Word, columns: dict[Word, Word]) -> dict[Word, int]:
@@ -166,8 +174,8 @@ def eta_at(word: Word, columns: dict[Word, Word]) -> dict[Word, int]:
     the whole word is neither built nor memoized. A letter is its own eta,
     and the empty word's is 0.
 
-    `columns` maps each column to the one tuple of it that the rows are keyed
-    by (`lyndon_columns`)."""
+    `columns` maps each column to the one tuple that the rows are keyed by
+    (`lyndon_columns`)."""
     if len(word) < 2:
         return {columns[word]: 1} if word and word in columns else {}
     last = word[-1:]
@@ -201,16 +209,16 @@ def g_image_rows(md: Multidegree):
     products of each full bracket. The two boundary terms, (-1)^n
     E_{n-1}.a_n and Z_1.a_1, are read at each column directly."""
     n = sum(md)
-    tails: dict[int, list[tuple[Word, Word]]] = {}
+    tails: dict[int, dict[Word, Word]] = {}
     cuts: dict[tuple[int, int], tuple[dict, dict]] = {}
     for b, rest in _removals(md):
-        columns = tails[b] = [(l, l + (b,)) for l in lyndon_words(rest)]
+        columns = tails[b] = lyndon_columns(rest, (b,))
         if not columns:  # md - e_b is one letter, twice or more
             continue
         for k in range(2, n):
             fronts: dict[Word, list] = {}
             backs: dict[Word, list] = {}
-            for l, x in columns:
+            for l, x in columns.items():
                 fronts.setdefault(l[:k - 1], []).append((l[k - 1:], x))
                 backs.setdefault(l[:n - k], []).append((l[n - k:], x))
             cuts[b, k] = fronts, backs
@@ -218,9 +226,9 @@ def g_image_rows(md: Multidegree):
 
     def row(word: Word) -> dict[Word, int]:
         prefix = eta_word(word[:-1])
-        terms = [(x, sign * c) for l, x in tails[word[-1]] if (c := prefix.get(l))]
+        terms = [(x, sign * c) for l, x in tails[word[-1]].items() if (c := prefix.get(l))]
         right = eta_word(word[1:][::-1])
-        terms += [(x, c) for l, x in tails[word[0]] if (c := right.get(l))]
+        terms += [(x, c) for l, x in tails[word[0]].items() if (c := right.get(l))]
         for k in range(2, n):
             split = cuts.get((word[k - 1], k))
             if split is None:  # no column ends in a_k
@@ -262,6 +270,22 @@ class BasisSet:
         }
 
 
+def _greedy(words: list[Word], target: int, row) -> list[Word]:
+    """The words, in order, whose rows raise the rank, up to the formula
+    dimension `target`; a count that disagrees with the formula is refused."""
+    space = RowSpace()
+    chosen: list[Word] = []
+    for word in words:
+        if space.rank == target:
+            break
+        if space.insert(row(word)):
+            chosen.append(word)
+    if len(chosen) != target:
+        raise ArithmeticError(
+            f"basis selection found {len(chosen)} words, formula says {target}")
+    return chosen
+
+
 def lie_basis(m) -> BasisSet:
     """Greedy lexicographic selection of words with independent left-fold
     canonical forms; the count matches the necklace number.
@@ -273,16 +297,7 @@ def lie_basis(m) -> BasisSet:
     md = _word_block(m)
     target = witt_multidegree(md)
     lyndon = lyndon_columns(md)
-    space = RowSpace()
-    chosen: list[Word] = []
-    for word in enum_words(md):
-        if space.rank == target:
-            break
-        if space.insert(eta_at(word, lyndon)):
-            chosen.append(word)
-    if len(chosen) != target:
-        raise ArithmeticError(
-            f"basis selection found {len(chosen)} words, formula says {target}")
+    chosen = _greedy(enum_words(md), target, lambda word: eta_at(word, lyndon))
     return BasisSet(md, "lie", chosen, {"rank": len(chosen), "target": target})
 
 
@@ -298,17 +313,8 @@ def h_basis(m) -> BasisSet:
     Each row is built at those columns only (`g_image_rows`)."""
     md = _word_block(m)
     target = h_dim_multidegree(md)
-    g_row = g_image_rows(md)
-    space = RowSpace()
-    chosen: list[Word] = []
-    for word in enum_words(md):
-        if space.rank == target:
-            break
-        if space.insert(g_row(word)):
-            chosen.append(word)
-    if len(chosen) != target:
-        raise ArithmeticError(
-            f"basis selection found {len(chosen)} words, formula says {target}")
+    # the words first: their bound is checked before the columns are indexed
+    chosen = _greedy(enum_words(md), target, g_image_rows(md))
     certificate = {"rank": len(chosen), "target": target,
                    "ell_kernel_dim": _ell_kernel_dim(md)}
     if certificate["ell_kernel_dim"] != target:
@@ -316,56 +322,47 @@ def h_basis(m) -> BasisSet:
     return BasisSet(md, "h", chosen, certificate)
 
 
-def ell_ranks(pairs, p: int) -> tuple[int, int]:
-    """Ranks of the span of eta(u) (x) letter over the given (u, letter) pairs
-    in the tensor space over 1..p, and of its image under the re-attachment
-    map ell, both over Q. A tensor u (x) b is stored as the word u.b.
+def ell_ranks(md: Multidegree) -> tuple[int, int]:
+    """Ranks of the tensor space (Lie part) (x) (letters) at multidegree md,
+    and of its image under the re-attachment map ell, both over Q. A tensor
+    u (x) b is stored as the word u.b.
 
-    - Spanning set: one full pass inserts every ambient row, with no early
-      break and no rank taken from a formula. The pairs whose rows raised the
-      rank span the ambient space, so by linearity their images span the
-      image of ell.
+    - Spanning set: for each letter b of md, the ambient row eta(u) (x) b of
+      every word u of md - e_b is inserted, with no early break and no rank
+      taken from a formula. The words whose rows raised the rank span the
+      ambient space, so by linearity their images span the image of ell.
     - Bracket rows: eta sends a Lie element x of degree d to (-1)^(d-1) d x
       (Dynkin-Specht-Wever; Reutenauer, Free Lie Algebras, 1993, Thm 1.4)
       and eta(x.b) = b.eta(x) - eta(x).b, so ell(eta(u).b) = -(n - 1)/n *
       (b.eta(u) - eta(u).b) = -(n - 1)/n * eta(u.b): the bracket spans the
       line of the image row.
-    - Lyndon columns: ambient rows (eta(u) with b appended) and bracket
-      rows are Lie elements, read at the Lyndon words of their multidegree
-      only (`lyndon_words`; see the module docstring): the same ranks,
-      raised by the same rows, over about 1/n of the columns. Both are built
-      at those columns from the memoized eta one degree down (`eta_at`), so
-      no degree-n eta is built.
+    - Lyndon columns: ambient rows and bracket rows are Lie elements, read at
+      the Lyndon words of their multidegree only (see the module docstring):
+      the same ranks, raised by the same rows, over about 1/n of the columns.
+      Both are built at those columns from the memoized eta one degree down
+      (`eta_at`), so no degree-n eta is built, and both are keyed by the
+      tuples of `lyndon_columns`: l.b for an ambient row, l for a bracket row.
 
-    Over F_q the multiple needs q to divide neither n nor n - 1, so the
-    certificate stays over Q.
+    Rows of different multidegrees share no column, so the ranks of a sum of
+    multidegrees are the sums of theirs. Over F_q the multiple needs q to
+    divide neither n nor n - 1, so the certificate stays over Q.
     """
     ambient = RowSpace()
     image = RowSpace()
-    found: dict[Multidegree, dict[Word, Word]] = {}
-
-    def lyndon_of(word: Word) -> dict[Word, Word]:
-        # the Lyndon words of the word's multidegree, listed once per call
-        md = word_multidegree(word, p)
-        words = found.get(md)
-        if words is None:
-            words = found[md] = lyndon_columns(md)
-        return words
-
-    for u, letter in pairs:
-        tail = (letter,)
-        if ambient.insert({w + tail: c for w, c in eta_at(u, lyndon_of(u)).items()}):
-            image.insert(eta_at(u + tail, lyndon_of(u + tail)))
+    brackets = lyndon_columns(md)
+    for b, rest in _removals(md):
+        tail = (b,)
+        columns = lyndon_columns(rest, tail)
+        for u in enum_words(rest):
+            if ambient.insert(eta_at(u, columns)):
+                image.insert(eta_at(u + tail, brackets))
     return ambient.rank, image.rank
 
 
 def _ell_kernel_dim(md: Multidegree) -> int:
     """dim ker of the re-attachment map on (Lie part) tensor (letters), per
-    multidegree: ambient rank minus image rank, both by exact row reduction
-    over Q of the rows `ell_ranks` builds (a spanning set of the ambient rows
-    and one bracket row per member of it)."""
-    pairs = ((u, letter) for letter, rest in _removals(md) for u in enum_words(rest))
-    ambient, image = ell_ranks(pairs, len(md))
+    multidegree: ambient rank minus image rank (`ell_ranks`)."""
+    ambient, image = ell_ranks(md)
     return ambient - image
 
 
@@ -410,10 +407,8 @@ def pattern_assignments(pattern: tuple[int, ...], p: int = 9) -> int:
     """Ways to assign distinct letters from 1..p to the parts of a pattern."""
     if len(pattern) > p:
         raise InputError("pattern has more parts than letters")
-    count = factorial(p) // factorial(p - len(pattern))
-    for value in set(pattern):
-        count //= factorial(pattern.count(value))
-    return count
+    # the unused letters, then the letters of each part size
+    return word_count((p - len(pattern), *Counter(pattern).values()))
 
 
 def section4_table() -> dict:

@@ -114,12 +114,6 @@ def _chain_payload(chain: Chain) -> dict:
     return {"p": chain.p, "chain": render_chain(chain)}
 
 
-# suite -> (parameter that --max-degree sets, parameter that --p sets); rho
-# turns --max-degree into its two leg bounds instead
-_VERIFY_PARAMS = {"lemmas": ("max_total", "p"), "exactness": ("max_degree", "p_max"),
-                  "rho": (None, "p"), "maxlen": ("max_degree", "p")}
-
-
 def _run(args) -> int:
     if getattr(args, "char", None) is not None:
         check_characteristic(args.char)
@@ -196,13 +190,12 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        degree_param, p_param = _VERIFY_PARAMS[args.suite]
+        _, _, degree_param, p_param = SUITES[args.suite]
         params = {}
         if args.max_degree is not None:
-            if args.suite == "rho":
-                params["max_legs"] = min(max(3, args.max_degree), 7)
-            else:
-                params[degree_param] = args.max_degree
+            # the rho suite reads trees of 3 to 7 legs
+            params[degree_param] = (min(max(3, args.max_degree), 7) if args.suite == "rho"
+                                    else args.max_degree)
         if args.p is not None:
             params[p_param] = args.p
         report = run_suite(args.suite, **params)

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product, starmap
 
-from .bases import ell_ranks, eta_at, lyndon_columns
-from .chains import Chain, Word, word_multidegree
+from .bases import ell_ranks, enum_words, eta_at, lyndon_columns
+from .chains import Chain, Word
 from .dims import h_dim_total, rank_oracle, witt_total
 from .linalg import RowSpace, row_space
 from .moves import eta, eta_word, fold_l, linear_image
@@ -249,14 +249,10 @@ def kernel_matches_relations(n: int, p: int) -> bool:
     number of words, so the two have one dimension. eta's image lies in
     Lie_n, so its rows are ranked at the Lyndon words of the block only, and
     built there only (`bases.eta_at`), as in `bases.lie_basis`."""
-    span = relation_span(n, p, "l")
-    by_md: dict = {}
-    for w in _words(p, n):
-        by_md.setdefault(word_multidegree(w, p), []).append(w)
-    for md, words in by_md.items():
-        block = span.blocks[md]
+    for md, block in relation_span(n, p, "l").blocks.items():
         if any(linear_image(row, eta_word) for row in block.pivots.values()):
             return False
+        words = enum_words(md)
         columns = lyndon_columns(md)
         image = row_space(eta_at(w, columns) for w in words)
         if block.rank + image.rank != len(words):
@@ -288,15 +284,16 @@ def suite_exactness(max_degree: int = 6, p_max: int = 3,
             h_dim = h_dim_total(n, p)
             report.add(f"rank(Im g) = h-dimension [n={n}, p={p}]", image.rank == h_dim,
                        str(h_dim), str(image.rank))
-            ambient, ell_image = ell_ranks(
-                ((u, b) for u in _words(p, n - 1) for b in range(1, p + 1)), p)
+            span = relation_span(n, p, "prime")
+            # rows of different multidegrees share no column, so the ranks add
+            # over the span's blocks, one per multidegree of degree n
+            ambient, ell_image = map(sum, zip(*map(ell_ranks, span.blocks)))
             report.add(f"tensor-space ambient rank [n={n}, p={p}]",
                        ambient == p * witt_total(n - 1, p),
                        str(p * witt_total(n - 1, p)), str(ambient))
             ker_ell = ambient - ell_image
             report.add(f"dim ker ell = h-dimension [n={n}, p={p}]", ker_ell == h_dim,
                        str(h_dim), str(ker_ell))
-            span = relation_span(n, p, "prime")
             dead = all(canonical_prime(c).is_zero() for c in span.basis_chains())
             report.add(f"primed relations die under the canonical map [n={n}, p={p}]",
                        dead, "all zero", "all zero" if dead else "nonzero found")
@@ -457,24 +454,26 @@ def suite_maxlen(chars: tuple[int, ...] = (3, 5), p: int = 2,
     return report
 
 
-# suite -> (suite function, size parameter -> smallest accepted value). Below
-# a minimum at least one exhaustive family of checks that the parameter bounds
-# is empty, and the suite would check no case. A few smaller families are
-# still empty at these minimums and read SKIP: the lemmas' equal-length pairs
-# below max_total 4, and the rho suite's edge expansions and comparator trees
-# below 4 legs.
+# suite -> (suite function, size parameter -> smallest accepted value, the
+# parameter that the CLI's --max-degree sets, the one that its --p sets).
+# Below a minimum at least one exhaustive family of checks that the parameter
+# bounds is empty, and the suite would check no case. A few smaller families
+# are still empty at these minimums and read SKIP: the lemmas' equal-length
+# pairs below max_total 4, and the rho suite's edge expansions and comparator
+# trees below 4 legs.
 SUITES = {
-    "lemmas": (suite_lemmas, {"max_total": 3, "p": 1}),
-    "exactness": (suite_exactness, {"max_degree": 2, "p_max": 1, "kernel_max_degree": 1}),
-    "rho": (suite_rho, {"max_bead_leaves": 1, "max_legs": 3, "p": 1}),
-    "maxlen": (suite_maxlen, {"p": 1, "max_degree": 1}),
+    "lemmas": (suite_lemmas, {"max_total": 3, "p": 1}, "max_total", "p"),
+    "exactness": (suite_exactness, {"max_degree": 2, "p_max": 1, "kernel_max_degree": 1},
+                  "max_degree", "p_max"),
+    "rho": (suite_rho, {"max_bead_leaves": 1, "max_legs": 3, "p": 1}, "max_legs", "p"),
+    "maxlen": (suite_maxlen, {"p": 1, "max_degree": 1}, "max_degree", "p"),
 }
 
 
 def run_suite(name: str, **params) -> Report:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    suite, minimums = SUITES[name]
+    suite, minimums, _, _ = SUITES[name]
     for param, minimum in minimums.items():
         if params.get(param, minimum) < minimum:
             raise InputError(f"suite {name} needs {param} >= {minimum}; "

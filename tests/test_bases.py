@@ -1,13 +1,15 @@
 import inspect
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
 import swingwords.moves
 import swingwords.quotients
-from swingwords.bases import (EVENRUN_VARIANTS, RunPredicate, _removals, enum_words, eta_at,
-                              evenrun_experiment, g_image_rows, h_basis, lie_basis,
-                              lyndon_columns, lyndon_words, pattern_assignments, section4_table)
+from swingwords.bases import (EVENRUN_VARIANTS, SECTION4_LINES, RunPredicate, _removals,
+                              enum_words, eta_at, evenrun_experiment, g_image_rows, h_basis,
+                              lie_basis, lyndon_columns, lyndon_words, pattern_assignments,
+                              section4_table)
 from swingwords.chains import Chain
 from swingwords.dims import h_dim_multidegree, witt_multidegree
 from swingwords.linalg import RowSpace, rank
@@ -98,6 +100,13 @@ def test_pattern_assignments():
     assert pattern_assignments((1, 1, 1, 1, 1, 1, 1, 2)) == 72
     assert pattern_assignments((1, 2, 2, 2, 2)) == 630
     assert pattern_assignments((3, 3, 3)) == 84
+    # p! / (p - parts)! over the factorial of each part size's multiplicity
+    for pattern, _ in SECTION4_LINES:
+        for p in (9, 10, len(pattern)):
+            expected = factorial(p) // factorial(p - len(pattern))
+            for size in set(pattern):
+                expected //= factorial(pattern.count(size))
+            assert pattern_assignments(pattern, p) == expected, (pattern, p)
 
 
 def test_section4_table_every_line_and_total():

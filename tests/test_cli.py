@@ -245,6 +245,35 @@ def test_oversized_word_blocks_exit_two_before_counting(capsys, monkeypatch, arg
     assert err == f"error: multidegree ({md.replace(',', ', ')}) has more words than the bound 2000000\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--space", "lie", "--multidegree", "1000000000"),
+    ("enumerate", "--space", "h", "--multidegree", "1000000000"),
+    ("enumerate", "--space", "lie", "--multidegree", "1,20000"),
+    ("enumerate", "--space", "h", "--multidegree", "1,20000"),
+    ("evenruns", "--multidegree", "1,20000")])
+def test_words_of_many_letters_exit_two_before_any_is_built(capsys, monkeypatch, argv):
+    # one word of 10^9 letters, or 20,001 words of 20,001: under the word
+    # bound, over the letters bound, and refused before any word is built
+    def no_words(letters):
+        raise AssertionError(f"built words of {len(letters)} letters")
+    monkeypatch.setattr(swingwords.bases, "_multiset_permutations", no_words)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith("than the bound 42000000\n")
+
+
+def test_one_letter_contents_need_no_recursion(capsys):
+    # eta of one letter repeated is 0, read without recursing once per letter
+    code, out, err = run(capsys, "enumerate", "--space", "h", "--multidegree", "2000",
+                         "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.startswith("h basis at multidegree (2000,): dimension 0\n")
+    code, out, _ = run(capsys, "reduce", "--space", "l", "-p", "1",
+                       "--chain", "[" + ",".join(["1"] * 2000) + "]")
+    assert (code, out) == (0, "0\n")
+
+
 def test_dims_necklace_needs_a_multidegree(capsys):
     code, out, err = run(capsys, "dims", "necklace", "--n", "3", "--p", "2")
     assert (code, out, err) == (2, "", "error: necklace needs --multidegree\n")

@@ -1,8 +1,9 @@
 """The re-attachment-kernel certificate against its all-pairs form.
 
-`bases.ell_ranks` inserts the bracket row b.eta(u) - eta(u).b of each pair
-whose ambient row raised the rank, read at its Lyndon words. The reference
-below is the earlier implementation: it inserts every ambient row eta(u).b and
+`bases.ell_ranks(md)` takes the pairs (u, b) with u a word of md - e_b and
+inserts the bracket row b.eta(u) - eta(u).b of each pair whose ambient row
+raised the rank, read at its Lyndon words. The reference below is the earlier
+implementation: it inserts every ambient row eta(u).b of a stream of pairs and
 the image of every one under `canonical_l`, a full eta of degree n, over all
 words. Both must give the same (ambient, image) ranks.
 
@@ -16,7 +17,8 @@ from itertools import product
 
 import pytest
 
-from swingwords.bases import _ell_kernel_dim, ell_ranks, enum_words
+import swingwords.bases
+from swingwords.bases import _ell_kernel_dim, ell_ranks, enum_words, lyndon_columns
 from swingwords.chains import Chain
 from swingwords.dims import h_dim_multidegree, witt_multidegree
 from swingwords.linalg import RowSpace, rank
@@ -56,7 +58,7 @@ def test_ell_ranks_match_the_all_pairs_reference_per_multidegree():
     for md in CERTIFIED:
         pairs = kernel_pairs(md)
         ambient, image = ref_ell_ranks(pairs, len(md))
-        assert ell_ranks(iter(pairs), len(md)) == (ambient, image), md
+        assert ell_ranks(md) == (ambient, image), md
         assert _ell_kernel_dim(md) == ambient - image == h_dim_multidegree(md), md
         nonzero += ambient > image > 0
     # about half the cases have both a nonzero image and a nonzero kernel
@@ -65,11 +67,41 @@ def test_ell_ranks_match_the_all_pairs_reference_per_multidegree():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_ell_ranks_match_the_reference_on_the_exactness_streams(p):
-    # the pair stream of `suite_exactness`: every word of degree n - 1, every letter
+    # `suite_exactness` sums ell_ranks over the multidegrees of degree n; the
+    # reference ranks the whole stream at once: every word of degree n - 1,
+    # every letter. They agree when rows of different multidegrees are
+    # independent, as their disjoint columns make them.
     for n in range(2, 7):
         pairs = [(u, b) for u in product(range(1, p + 1), repeat=n - 1)
                  for b in range(1, p + 1)]
-        assert ell_ranks(iter(pairs), p) == ref_ell_ranks(pairs, p), (n, p)
+        by_md = [ell_ranks(md) for md in product(range(n + 1), repeat=p) if sum(md) == n]
+        summed = tuple(sum(ranks) for ranks in zip(*by_md))
+        assert summed == ref_ell_ranks(pairs, p), (n, p)
+
+
+def test_certificate_rows_are_keyed_by_the_column_tuples(monkeypatch):
+    # every key of every ambient and bracket row is the very tuple that
+    # lyndon_columns made, so the rows of one scan share their keys
+    made, rows = [], []
+
+    def recorded_columns(m, tail=()):
+        columns = lyndon_columns(m, tail)
+        made.append(columns)
+        return columns
+
+    class RecordedSpace(swingwords.bases.RowSpace):
+        def insert(self, row):
+            rows.append((self, dict(row)))
+            return super().insert(row)
+
+    monkeypatch.setattr(swingwords.bases, "lyndon_columns", recorded_columns)
+    monkeypatch.setattr(swingwords.bases, "RowSpace", RecordedSpace)
+    md = (2, 2, 1)
+    assert _ell_kernel_dim(md) == h_dim_multidegree(md)
+    keys = {id(w) for columns in made for w in columns.values()}
+    assert len({id(space) for space, _ in rows}) == 2  # the ambient and image spaces
+    assert any(row for _, row in rows)
+    assert all(id(w) in keys for _, row in rows for w in row)
 
 
 def test_bracket_rows_are_multiples_of_the_image_rows():
