@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .chains import Multidegree, Word, accumulate, word_count
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
@@ -467,33 +468,31 @@ class RunPredicate:
         return not self._has_even_two_run(word)
 
     def _has_even_two_run(self, word: Word) -> bool:
-        i = 0
-        n = len(word)
-        while i < n:
-            if word[i] != 2:
-                i += 1
-                continue
-            j = i
-            while j < n and word[j] == 2:
-                j += 1
-            interior = i > 0 and j < n
-            if (j - i) % 2 == 0 and (interior or not self.interior_only):
+        start = 0
+        for letter, run in groupby(word):
+            end = start + len(list(run))
+            interior = start > 0 and end < len(word)
+            if letter == 2 and (end - start) % 2 == 0 and (interior or not self.interior_only):
                 return True
-            i = j
+            start = end
         return False
 
     def _has_even_general_run(self, word: Word) -> bool:
         # a block of letters, every one larger than both flanking letters,
         # whose length is even; both flanks must exist, so this form is
-        # interior-only by construction
-        n = len(word)
-        for i in range(n):
-            for j in range(i + 2, n):
-                block = word[i + 1:j]
-                if (j - i - 1) % 2:
-                    continue
-                if all(x > word[i] and x > word[j] for x in block):
+        # interior-only by construction. The stack holds the open left
+        # flanks: the positions whose letter is below every later one read so
+        # far. Letters rise up the stack, so the one just above a flank is the
+        # least of its block, and a letter x that pops a larger one closes a
+        # block at the flank below it. Each position is pushed and popped at
+        # most once, so the walk is linear.
+        stack: list[int] = []
+        for j, x in enumerate(word):
+            while stack and word[stack[-1]] >= x:
+                least = word[stack.pop()]
+                if stack and least > x and (j - stack[-1]) % 2:
                     return True
+            stack.append(j)
         return False
 
 
@@ -506,7 +505,7 @@ EVENRUN_VARIANTS: list[RunPredicate] = [
 ]
 
 
-def evenrun_experiment(m, variants: list[RunPredicate] | None = None) -> dict:
+def evenrun_experiment(m) -> dict:
     """Count predicate-passing two-letter words against the necklace number
     and rank-test their canonical forms. Reports matches; asserts nothing."""
     md = tuple(m)
@@ -517,7 +516,7 @@ def evenrun_experiment(m, variants: list[RunPredicate] | None = None) -> dict:
     words = enum_words(md)
     lyndon = lyndon_columns(md)
     results = []
-    for predicate in variants or EVENRUN_VARIANTS:
+    for predicate in EVENRUN_VARIANTS:
         passing = [w for w in words if predicate.accepts(w)]
         space = RowSpace()
         for word in passing:

@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--multidegree", default=None, help="comma list, e.g. 3,3,3")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check by relation-span rank")
-    sp.add_argument("--char", type=int, default=None)
+    sp.add_argument("--char", type=int, default=None, metavar="Q",
+                    help="odd-prime residue characteristic of the rank oracle")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("enumerate", help="enumerate a basis per multidegree")
@@ -190,15 +191,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        _, _, degree_param, p_param = SUITES[args.suite]
-        params = {}
-        if args.max_degree is not None:
-            # the rho suite reads trees of 3 to 7 legs
-            params[degree_param] = (min(max(3, args.max_degree), 7) if args.suite == "rho"
-                                    else args.max_degree)
-        if args.p is not None:
-            params[p_param] = args.p
-        report = run_suite(args.suite, **params)
+        report = run_suite(args.suite, args.max_degree, args.p)
         lines = [f"{r.status.upper():4s} | {r.anchor} | expected: {r.expected} | "
                  f"computed: {r.computed}" for r in report.records]
         lines.append(f"suite {report.name}: {report.status.upper()}")

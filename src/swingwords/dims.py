@@ -177,10 +177,13 @@ def dimension_report(kind: str, *, n: int | None = None, p: int | None = None,
     interpreter prints, is refused with ResourceLimitError; a value surely
     that long is refused before it is computed (see `_refuse_before`). The
     rank oracle checks totals over n and p only, so it is refused together
-    with a multidegree rather than silently dropped."""
+    with a multidegree rather than silently dropped; a characteristic is read
+    by the oracle only, so it is refused without one."""
     if oracle and multidegree is not None:
         raise InputError("the rank oracle checks totals over --n and --p; "
                          "it does not take a multidegree")
+    if char is not None and not oracle:
+        raise InputError("only the rank oracle reads a characteristic; --char needs --oracle")
     if kind not in ("witt", "necklace", "h"):
         raise InputError(f"unknown dimension kind {kind!r}")
     if kind == "witt" and multidegree is not None:

@@ -27,10 +27,11 @@ def eta_word(word: Word) -> dict[Word, int]:
     """eta on a single word, as an integer-coefficient term dict.
 
     eta(a1..an) = an * eta(a1..a_{n-1}) - eta(a1..a_{n-1}) * an, with a single
-    letter fixed and the empty word sent to zero. One letter repeated n >= 2
-    times is sent to zero with no recursion, since eta(aa) = aa - aa. A word
-    whose eta may have more than MAX_WORDS terms (`expansion_bound`) is
-    refused before any is built.
+    letter fixed and the empty word sent to zero. A word whose first two
+    letters agree is sent to zero with no recursion: eta(aa) = aa - aa, and
+    each later step is linear in the prefix's eta. A word whose eta may have
+    more than MAX_WORDS terms (`expansion_bound`) is refused before any is
+    built.
     """
     cached = _ETA_MEMO.get(word)
     if cached is not None:
@@ -38,7 +39,7 @@ def eta_word(word: Word) -> dict[Word, int]:
     n = len(word)
     if n == 1:
         result: dict[Word, int] = {word: 1}
-    elif n == 0 or word.count(word[0]) == n:
+    elif n == 0 or word[1] == word[0]:
         result = {}
     else:
         if 1 << (n - 1) > MAX_WORDS:

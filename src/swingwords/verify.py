@@ -6,6 +6,12 @@ the identity checked, the expected and computed summaries, and a pass, fail,
 info or skip status; skip marks a family of checks that is empty at the
 given sizes. Record order is fixed by the input enumeration order, so
 identical invocations render byte-identical reports.
+
+Every suite takes two sizes, max_degree and p. The rest are constants: the
+lemmas' SPOT_COUNT random cases at total length SPOT_DEGREE, drawn from
+SEED; the rho suite's beads up to MAX_BEAD_LEAVES leaves and SAMPLED_TREES
+sampled 7-leg trees, drawn from SEED; the exactness suite's kernel check
+through KERNEL_MAX_DEGREE; and the residue fields MAXLEN_CHARS.
 """
 
 from __future__ import annotations
@@ -24,6 +30,16 @@ from .quotients import (PrimeCanonical, canonical_l, canonical_prime, choose_hea
 from .scalars import InputError
 from .trees import (SwingWord, as_swap, diagram_class, enumerate_topologies, ihx_expand,
                     relabel_legs, rho, rho_alt, split_positions, tree_chain, validate)
+
+
+# The suite sizes that max_degree and p leave fixed.
+SPOT_DEGREE = 7  # the lemmas' sampled cases have this total length ...
+SPOT_COUNT = 40  # ... and there are this many of each
+SEED = 20060906  # seeds the lemmas' samples and the rho suite's sampled trees
+MAX_BEAD_LEAVES = 4  # the rho suite's breakdown schedules read beads up to this size
+SAMPLED_TREES = 150  # the rho suite's sampled 7-leg trees
+KERNEL_MAX_DEGREE = 5  # ker(eta) is matched to the left relations through this degree
+MAXLEN_CHARS = (3, 5)  # the residue fields of the finite-characteristic experiment
 
 
 @dataclass
@@ -98,18 +114,17 @@ def _sample_tuples(p: int, parts: int, total: int, count: int, rng: random.Rando
         yield tuple(tuple(rng.randint(1, p) for _ in range(n)) for n in lengths)
 
 
-def suite_lemmas(max_total: int = 6, p: int = 3, spot_degree: int = 7,
-                 spot_count: int = 40, seed: int = 20060906) -> Report:
-    """The identity lemmas, exhaustively to max_total and sampled at
-    spot_degree."""
+def suite_lemmas(max_degree: int = 6, p: int = 3) -> Report:
+    """The identity lemmas, exhaustively to total length max_degree and
+    sampled at SPOT_DEGREE."""
     report = Report("lemmas")
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
 
     def cases(parts: int, lo: int):
-        """Every tuple of `parts` words with total length lo..max_total, then
-        spot_count random ones of total length spot_degree."""
-        yield from _word_tuples(p, parts, lo, max_total)
-        yield from _sample_tuples(p, parts, spot_degree, spot_count, rng)
+        """Every tuple of `parts` words with total length lo..max_degree, then
+        SPOT_COUNT random ones of total length SPOT_DEGREE."""
+        yield from _word_tuples(p, parts, lo, max_degree)
+        yield from _sample_tuples(p, parts, SPOT_DEGREE, SPOT_COUNT, rng)
 
     def eta_scaling_holds(w: Word) -> bool:
         n = len(w)
@@ -129,7 +144,7 @@ def suite_lemmas(max_total: int = 6, p: int = 3, spot_degree: int = 7,
                  "pairs", starmap(eta_kill_holds, cases(2, 3)))
     # at equal lengths the general form reads eta(...) = 0
     report.tally("eta(eta(w1)eta(w2) + eta(w2)eta(w1)) = 0 for equal lengths", "pairs",
-                 (eta_kill_holds(w1, w2) for w1, w2 in _word_tuples(p, 2, 3, max_total)
+                 (eta_kill_holds(w1, w2) for w1, w2 in _word_tuples(p, 2, 3, max_degree)
                   if len(w1) == len(w2)))
 
     def baker_holds(w1: Word, w2: Word) -> bool:
@@ -140,7 +155,7 @@ def suite_lemmas(max_total: int = 6, p: int = 3, spot_degree: int = 7,
                  "pairs", starmap(baker_holds, cases(2, 2)))
 
     def fold_absorbs():
-        for n in range(2, max_total + 1):
+        for n in range(2, max_degree + 1):
             for w in _words(p, n):
                 c = Chain.of_word(p, w)
                 for j in range(2, n + 1):
@@ -150,7 +165,7 @@ def suite_lemmas(max_total: int = 6, p: int = 3, spot_degree: int = 7,
                  fold_absorbs())
 
     def equal_letter_folds_agree():
-        for n in range(2, max_total + 1):
+        for n in range(2, max_degree + 1):
             for w in _words(p, n):
                 c = Chain.of_word(p, w)
                 for i in range(1, n):
@@ -183,7 +198,7 @@ def suite_lemmas(max_total: int = 6, p: int = 3, spot_degree: int = 7,
         c = Chain.of_word(p, w)
         return canonical_l(eta(c)) == canonical_l(c.scale(n if (n - 1) % 2 == 0 else -n))
     report.tally("eta(w) = (-1)^(n-1) * n * w in the left quotient", "words",
-                 starmap(eta_is_scaling, _word_tuples(p, 1, 1, max_total)))
+                 starmap(eta_is_scaling, _word_tuples(p, 1, 1, max_degree)))
 
     prime_nonzero = []
 
@@ -230,7 +245,7 @@ def suite_lemmas(max_total: int = 6, p: int = 3, spot_degree: int = 7,
                  "round trips", round_trips())
 
     def eta_classes_match():
-        for n in range(1, min(max_total, 4) + 1):
+        for n in range(1, min(max_degree, 4) + 1):
             group = list(_words(p, n))
             projected = {w: canonical_l(Chain.of_word(p, w)) for w in group}
             etas = {w: eta(Chain.of_word(p, w)) for w in group}
@@ -260,13 +275,14 @@ def kernel_matches_relations(n: int, p: int) -> bool:
     return True
 
 
-def suite_exactness(max_degree: int = 6, p_max: int = 3,
-                    kernel_max_degree: int = 5) -> Report:
-    """The sequence checks: the composite vanishes, ranks match the formula
-    dimensions, the section map scales by the degree, and the two equality
-    deciders agree; plus the kernel identification at lower degree."""
+def suite_exactness(max_degree: int = 6, p: int = 3) -> Report:
+    """The sequence checks over every alphabet 1..p: the composite vanishes,
+    ranks match the formula dimensions, the section map scales by the degree,
+    and the two equality deciders agree; plus the kernel identification
+    through KERNEL_MAX_DEGREE."""
     report = Report("exactness")
-    for p in range(1, p_max + 1):
+    alphabets = range(1, p + 1)
+    for p in alphabets:
         for n in range(2, max_degree + 1):
             ell_dies, section_scales = [], []
             image = RowSpace()
@@ -300,12 +316,12 @@ def suite_exactness(max_degree: int = 6, p_max: int = 3,
             report.add(f"canonical rank equals the span quotient [n={n}, p={p}]",
                        image.rank == span.quotient_dim(),
                        str(span.quotient_dim()), str(image.rank))
-    for p in range(1, p_max + 1):
-        for n in range(1, kernel_max_degree + 1):
+    for p in alphabets:
+        for n in range(1, KERNEL_MAX_DEGREE + 1):
             ok = kernel_matches_relations(n, p)
             report.add(f"ker(eta) = left relation span [n={n}, p={p}]", ok,
                        "equal row spaces", "equal" if ok else "different")
-    for p in range(1, p_max + 1):
+    for p in alphabets:
         for n in range(1, max_degree + 1):
             witt = witt_total(n, p)
             oracle_l = rank_oracle(n, p, "l")
@@ -335,30 +351,33 @@ def _all_bead_tuples(total: int, p: int):
                 yield (bead,) + rest
 
 
-def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
-              samples_at_max: int = 150, seed: int = 20060906) -> Report:
+def suite_rho(max_degree: int = 7, p: int = 2) -> Report:
     """Breakdown-order independence, head/tail independence, and the two
-    local move compatibilities.
+    local move compatibilities, on trees of 3 to max_degree legs. A
+    max_degree below 3 reads as 3 and one above 7 as 7: the suite has
+    checks for 3 to 7 legs only.
 
     The head/tail, swap and edge-expansion records read every shape with 3
-    to min(max_legs, 6) legs once, with the distinct letters 1..legs. Every
+    to min(legs, 6) legs once, with the distinct letters 1..legs. Every
     tree move and every word map behind a class is positional: it moves
     letters and never reads them, so a class commutes with specialising the
     letters, and agreement at distinct letters carries over to every
-    lettering. The sampled 7-leg record letters its trees from 1..p, where
-    the class space may be zero; then it also checks the zero class."""
+    lettering. The sampled 7-leg record letters SAMPLED_TREES trees from
+    1..p, where the class space may be zero; then it also checks the zero
+    class."""
     report = Report("rho")
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
+    max_legs = min(max(3, max_degree), 7)
 
     def schedules_agree():
         for tail, head in product(range(1, p + 1), repeat=2):
-            for beads in _all_bead_tuples(max_bead_leaves, p):
+            for beads in _all_bead_tuples(MAX_BEAD_LEAVES, p):
                 sw = SwingWord(tail=tail, beads=beads, head=head)
                 reference = rho(sw, p)
                 for schedule in permutations(split_positions(sw)):
                     yield rho_alt(sw, list(schedule), p) == reference
     report.tally(f"every breakdown schedule reproduces the expansion "
-                 f"(beads up to {max_bead_leaves} leaves, p={p})", "schedules",
+                 f"(beads up to {MAX_BEAD_LEAVES} leaves, p={p})", "schedules",
                  schedules_agree())
 
     shapes = {legs: enumerate_topologies(legs) for legs in range(3, max_legs + 1)}
@@ -399,7 +418,7 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
         shapes7 = shapes[7]
 
         def sampled_agree():
-            for _ in range(samples_at_max):
+            for _ in range(SAMPLED_TREES):
                 shape = shapes7[rng.randrange(len(shapes7))]
                 letters = tuple(rng.randint(1, p) for _ in range(7))
                 tree = relabel_legs(shape, letters, p)
@@ -411,7 +430,7 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
                 yield (all(c == classes[0] for c in classes)
                        and (dim7 != 0 or classes[0].is_zero()))
         report.tally(f"sampled 7-leg trees agree across head/tail choices "
-                     f"({samples_at_max} trees)", "trees", sampled_agree())
+                     f"({SAMPLED_TREES} trees)", "trees", sampled_agree())
 
     report.tally(f"orientation swaps negate the class (through {distinct_legs} legs, "
                  "distinct letters)", "swaps", swaps)
@@ -434,13 +453,13 @@ def suite_rho(max_bead_leaves: int = 4, max_legs: int = 7, p: int = 2,
     return report
 
 
-def suite_maxlen(chars: tuple[int, ...] = (3, 5), p: int = 2,
-                 max_degree: int = 7) -> Report:
-    """Quotient dimensions of the left quotient over small residue fields,
-    reported against the characteristic-zero dimensions and against the
-    claimed vanishing bound; informational, asserts neither reading."""
+def suite_maxlen(max_degree: int = 7, p: int = 2) -> Report:
+    """Quotient dimensions of the left quotient over the residue fields
+    MAXLEN_CHARS, reported against the characteristic-zero dimensions and
+    against the claimed vanishing bound; informational, asserts neither
+    reading."""
     report = Report("maxlen")
-    for q in chars:
+    for q in MAXLEN_CHARS:
         for n in range(1, max_degree + 1):
             dim_q = rank_oracle(n, p, "l", char=q)
             witt = witt_total(n, p)
@@ -454,28 +473,29 @@ def suite_maxlen(chars: tuple[int, ...] = (3, 5), p: int = 2,
     return report
 
 
-# suite -> (suite function, size parameter -> smallest accepted value, the
-# parameter that the CLI's --max-degree sets, the one that its --p sets).
-# Below a minimum at least one exhaustive family of checks that the parameter
-# bounds is empty, and the suite would check no case. A few smaller families
-# are still empty at these minimums and read SKIP: the lemmas' equal-length
-# pairs below max_total 4, and the rho suite's edge expansions and comparator
-# trees below 4 legs.
+# suite -> (suite function, smallest accepted max_degree, smallest accepted p).
+# Below a minimum at least one exhaustive family of checks that the size
+# bounds is empty, and the suite would check no case. The rho suite reads any
+# max_degree as 3 to 7 legs, so it takes every one. A few smaller families are
+# still empty at these minimums and read SKIP: the lemmas' equal-length pairs
+# below max_degree 4, and the rho suite's edge expansions and comparator trees
+# below 4 legs.
 SUITES = {
-    "lemmas": (suite_lemmas, {"max_total": 3, "p": 1}, "max_total", "p"),
-    "exactness": (suite_exactness, {"max_degree": 2, "p_max": 1, "kernel_max_degree": 1},
-                  "max_degree", "p_max"),
-    "rho": (suite_rho, {"max_bead_leaves": 1, "max_legs": 3, "p": 1}, "max_legs", "p"),
-    "maxlen": (suite_maxlen, {"p": 1, "max_degree": 1}, "max_degree", "p"),
+    "lemmas": (suite_lemmas, 3, 1),
+    "exactness": (suite_exactness, 2, 1),
+    "rho": (suite_rho, None, 1),
+    "maxlen": (suite_maxlen, 1, 1),
 }
 
 
-def run_suite(name: str, **params) -> Report:
+def run_suite(name: str, max_degree: int | None = None, p: int | None = None) -> Report:
+    """Run a suite at the given sizes; a size left None takes its default."""
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    suite, minimums, _, _ = SUITES[name]
-    for param, minimum in minimums.items():
-        if params.get(param, minimum) < minimum:
-            raise InputError(f"suite {name} needs {param} >= {minimum}; "
-                             f"at {params[param]} some of its checks run over no case")
-    return suite(**params)
+    suite, *minimums = SUITES[name]
+    sizes = {"max_degree": max_degree, "p": p}
+    for (size, value), minimum in zip(sizes.items(), minimums):
+        if None not in (value, minimum) and value < minimum:
+            raise InputError(f"suite {name} needs {size} >= {minimum}; "
+                             f"at {value} some of its checks run over no case")
+    return suite(**{size: value for size, value in sizes.items() if value is not None})

@@ -32,21 +32,21 @@ def announce(number, ok, detail):
 @pytest.fixture(scope="module")
 def lemmas_run():
     start = time.perf_counter()
-    report = suite_lemmas(max_total=6, p=3)
+    report = suite_lemmas(max_degree=6, p=3)
     return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def rho_run():
     start = time.perf_counter()
-    report = suite_rho(max_bead_leaves=4, max_legs=7, p=2)
+    report = suite_rho(max_degree=7, p=2)
     return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def exactness_run():
     start = time.perf_counter()
-    report = suite_exactness(max_degree=6, p_max=3, kernel_max_degree=5)
+    report = suite_exactness(max_degree=6, p=3)
     return report, time.perf_counter() - start
 
 
@@ -173,7 +173,7 @@ def test_criterion_9_exact_sequence(exactness_run):
 
 def test_criterion_10_experiments():
     start = time.perf_counter()
-    maxlen = suite_maxlen(chars=(3, 5), p=2, max_degree=7)
+    maxlen = suite_maxlen(max_degree=7, p=2)
     structured = (maxlen.status == "pass"
                   and all(r.status == "info" for r in maxlen.records)
                   and all("matches" in r.computed for r in maxlen.records))

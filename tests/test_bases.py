@@ -1,4 +1,5 @@
 import inspect
+import random
 from itertools import permutations, product
 from math import factorial
 
@@ -134,6 +135,67 @@ def test_run_predicate_examples():
     assert general.accepts((1, 2, 2, 2, 1))
     leading = RunPredicate("leading", leading_one=True)
     assert not leading.accepts((2, 1, 2))
+
+
+def _has_even_general_run_by_pairs(word):
+    """The general even-run test read off its definition, over every pair
+    of flanks: the reference for the linear walk."""
+    n = len(word)
+    for i in range(n):
+        for j in range(i + 2, n):
+            block = word[i + 1:j]
+            if (j - i - 1) % 2:
+                continue
+            if all(x > word[i] and x > word[j] for x in block):
+                return True
+    return False
+
+
+def test_general_even_run_walk_matches_every_pair_of_flanks():
+    general = RunPredicate("general", interior_only=True, generalized=True)
+    rng = random.Random(20060906)
+    seen = set()
+    for _ in range(20000):
+        word = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 12)))
+        expected = _has_even_general_run_by_pairs(word)
+        seen.add(expected)
+        assert general.accepts(word) == (not expected), word
+    assert seen == {True, False}
+
+
+def _has_even_two_run_by_scan(word, interior_only):
+    """The run-of-2s test as an index scan: the reference for the groupby walk."""
+    i, n = 0, len(word)
+    while i < n:
+        if word[i] != 2:
+            i += 1
+            continue
+        j = i
+        while j < n and word[j] == 2:
+            j += 1
+        if (j - i) % 2 == 0 and (i > 0 and j < n or not interior_only):
+            return True
+        i = j
+    return False
+
+
+def test_two_run_walk_matches_the_index_scan():
+    every = RunPredicate("all_runs_odd")
+    interior = RunPredicate("interior_runs_odd", interior_only=True)
+    rng = random.Random(20060906)
+    for _ in range(20000):
+        word = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 12)))
+        assert every.accepts(word) == (not _has_even_two_run_by_scan(word, False)), word
+        assert interior.accepts(word) == (not _has_even_two_run_by_scan(word, True)), word
+
+
+def test_general_even_run_walk_on_long_runs():
+    # two-letter words as the experiment reads them, far past the lengths that
+    # the pairwise reference reads in reasonable time
+    general = RunPredicate("general", interior_only=True, generalized=True)
+    assert general.accepts((1,) + (2,) * 3001 + (1,))
+    assert not general.accepts((1,) + (2,) * 3000 + (1,))
+    assert general.accepts((2,) * 3000 + (1,) * 3000)
 
 
 def test_evenrun_experiment_reports():

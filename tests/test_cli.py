@@ -414,6 +414,17 @@ def test_oracle_with_multidegree_refused(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["dims", "witt", "--n", "3", "--p", "2", "--char", "5"],
+    ["dims", "h", "--n", "4", "--p", "2", "--char", "3"],
+    ["dims", "necklace", "--multidegree", "2,2", "--char", "5"],
+])
+def test_char_without_oracle_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: only the rank oracle reads a characteristic; --char needs --oracle\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--suite", "exactness", "--p", "0"],
     ["verify", "--suite", "lemmas", "--max-degree", "0"],
     ["verify", "--suite", "lemmas", "--max-degree", "2"],

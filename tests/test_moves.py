@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, strategies as st
 
 import swingwords.moves
 from swingwords.chains import Chain
-from swingwords.moves import (commutator_expand, eta, expand_word, fold_l, fold_prime,
-                              magma_leaves)
+from swingwords.moves import (commutator_expand, eta, eta_word, expand_word, fold_l,
+                              fold_prime, magma_leaves)
 from swingwords.scalars import ResourceLimitError
 
 
@@ -39,6 +40,19 @@ def test_eta_three_letters():
 
 def test_eta_empty_word_dies():
     assert eta(Chain.of_word(2, ())).is_zero()
+
+
+def test_eta_of_a_doubled_first_letter_dies_without_recursion(monkeypatch):
+    # eta(aa) = aa - aa, and each later letter acts linearly on the prefix's
+    # eta; the left comb's expansion is an independent path to the same zero
+    rng = random.Random(7)
+    for _ in range(300):
+        monkeypatch.setattr(swingwords.moves, "_ETA_MEMO", {})
+        a = rng.randint(1, 3)
+        word = (a, a) + tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 9)))
+        assert eta_word(word) == {}
+        assert list(swingwords.moves._ETA_MEMO) == [word]
+        assert expand_word(eta_comb(word)) == {}
 
 
 def test_fold_l_out_of_range_is_identity():

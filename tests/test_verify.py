@@ -10,13 +10,13 @@ from swingwords.moves import eta_word, linear_image
 from swingwords.quotients import PrimeCanonical, canonical_prime, relation_span
 from swingwords.scalars import InputError
 from swingwords.trees import enumerate_topologies, relabel_legs, tree_chain
-from swingwords.verify import (Report, kernel_matches_relations, run_suite,
-                               suite_exactness, suite_lemmas, suite_maxlen,
+from swingwords.verify import (SAMPLED_TREES, Report, kernel_matches_relations,
+                               run_suite, suite_exactness, suite_lemmas, suite_maxlen,
                                suite_rho)
 
 
 def test_lemma_suite_small():
-    report = suite_lemmas(max_total=4, p=2, spot_count=5)
+    report = suite_lemmas(max_degree=4, p=2)
     assert report.status == "pass"
     assert report.exit_code == 0
     anchors = [r.anchor for r in report.records]
@@ -25,25 +25,27 @@ def test_lemma_suite_small():
 
 
 def test_exactness_suite_small():
-    report = suite_exactness(max_degree=3, p_max=2, kernel_max_degree=3)
+    report = suite_exactness(max_degree=3, p=2)
     assert report.status == "pass"
     assert any("rank oracle" in r.anchor for r in report.records)
 
 
 def test_rho_suite_small():
-    report = suite_rho(max_bead_leaves=3, max_legs=5, samples_at_max=0)
+    report = suite_rho(max_degree=5)
     assert report.status == "pass"
 
 
 def test_maxlen_suite_is_informational():
-    report = suite_maxlen(chars=(3,), max_degree=7)
+    report = suite_maxlen(max_degree=7)
     assert report.status == "pass"
     assert all(r.status == "info" for r in report.records)
     beyond = [r for r in report.records if "[n=5" in r.anchor]
     assert beyond and "claimed bound" in beyond[0].expected
     # frozen observation: over F_3 the quotient stays at the char-0 dimension
     # at every degree <= 7, so the records report the vanishing bound unmet
-    for record in report.records:
+    over_f3 = [r for r in report.records if "over F_3 " in r.anchor]
+    assert len(over_f3) == 7
+    for record in over_f3:
         assert "matches char-0: True" in record.computed
         if any(f"[n={n}," in record.anchor for n in (5, 6, 7)):
             assert "matches claimed bound: False" in record.computed
@@ -102,7 +104,7 @@ def test_head_tail_failures_leave_the_move_records_standing(monkeypatch):
         legs = tree.leg_vertices()
         return chain if head is None or (head, tail) == tuple(legs[:2]) else chain.scale(2)
     monkeypatch.setattr(swingwords.verify, "tree_chain", doubled_off_the_first_choice)
-    report = suite_rho(max_bead_leaves=1, max_legs=5, samples_at_max=0)
+    report = suite_rho(max_degree=5)
     status = {r.anchor.split(" (")[0]: r.status for r in report.records}
     assert status["head/tail choices agree on every shape through 5 legs"] == "fail"
     assert status["orientation swaps negate the class"] == "pass"
@@ -110,9 +112,27 @@ def test_head_tail_failures_leave_the_move_records_standing(monkeypatch):
 
 
 def test_run_suite_dispatch():
-    assert run_suite("maxlen", chars=(3,), max_degree=3).name == "maxlen"
+    assert run_suite("maxlen", max_degree=3).name == "maxlen"
     with pytest.raises(InputError):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("name, sizes, message", [
+    ("lemmas", {"max_degree": 2}, "suite lemmas needs max_degree >= 3; at 2 "),
+    ("exactness", {"max_degree": 1}, "suite exactness needs max_degree >= 2; at 1 "),
+    ("exactness", {"p": 0}, "suite exactness needs p >= 1; at 0 "),
+    ("rho", {"p": 0}, "suite rho needs p >= 1; at 0 "),
+    ("maxlen", {"max_degree": 0}, "suite maxlen needs max_degree >= 1; at 0 "),
+])
+def test_run_suite_refusals_name_the_size(name, sizes, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        run_suite(name, **sizes)
+
+
+@pytest.mark.parametrize("max_degree, read_as", [(0, 3), (2, 3), (9, 7)])
+def test_rho_suite_reads_its_degree_as_3_to_7_legs(max_degree, read_as):
+    assert (suite_rho(max_degree=max_degree, p=1).to_dict()
+            == suite_rho(max_degree=read_as, p=1).to_dict())
 
 
 def test_report_exit_codes():
@@ -154,15 +174,15 @@ def test_sampled_tree_failing_twice_counts_once(monkeypatch):
     monkeypatch.setattr(swingwords.verify, "canonical_prime",
                         lambda chain: PrimeCanonical(2, Chain(1, {(1, 1): next(fresh)})))
     monkeypatch.setattr(swingwords.verify, "rank_oracle", lambda *args: 0)
-    report = suite_rho(max_bead_leaves=1, max_legs=7, p=1, samples_at_max=3)
+    report = suite_rho(max_degree=7, p=1)
     sampled = [r for r in report.records if r.anchor.startswith("sampled 7-leg")]
     assert [(r.status, r.expected, r.computed) for r in sampled] == [
-        ("fail", "0 failures over 3 trees", "3 failures")]
+        ("fail", f"0 failures over {SAMPLED_TREES} trees", f"{SAMPLED_TREES} failures")]
 
 
 def test_suites_are_deterministic():
-    a = suite_lemmas(max_total=3, p=2, spot_count=5).to_dict()
-    b = suite_lemmas(max_total=3, p=2, spot_count=5).to_dict()
+    a = suite_lemmas(max_degree=3, p=2).to_dict()
+    b = suite_lemmas(max_degree=3, p=2).to_dict()
     assert a == b
 
 
