@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
-from .chains import Multidegree, Word, accumulate, word_count
+from .chains import Multidegree, Word, accumulate, check_multidegree, word_count
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import RowSpace
 from .moves import eta_word
@@ -47,16 +47,14 @@ from .scalars import MAX_WORDS, InputError, ResourceLimitError
 
 
 def _word_block(m) -> Multidegree:
-    """The multidegree as a tuple, refused unless its entries are
-    non-negative and it has at most MAX_WORDS words.
+    """The multidegree, checked (`chains.check_multidegree`), refused unless
+    it has at most MAX_WORDS words.
 
     The bound is checked before any count or formula: a block with
     n - max(md) >= MAX_WORDS.bit_length() has at least 2^(n - max md) words
     (see `dims._refuse_before`) and is refused at once; below that,
     `word_count` is a product of small binomials."""
-    md = tuple(m)
-    if not md or any(x < 0 for x in md):
-        raise InputError(f"bad multidegree {m!r}")
+    md = check_multidegree(m)
     if sum(md) - max(md) >= MAX_WORDS.bit_length() or word_count(md) > MAX_WORDS:
         raise ResourceLimitError(
             f"multidegree {md} has more words than the bound {MAX_WORDS}")

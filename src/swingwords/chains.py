@@ -19,6 +19,13 @@ Those maps wrap their pruned terms over valid words with `Chain._make`, which
 skips the checks that `Chain(p, terms, char)` applies to outside input. They
 accumulate integers: coefficients are cleared to one scale on the way in and
 divided once on the way out (`scalars.cleared`, `scalars.divided`).
+
+Each kind of caller input has one check here, applied once where the input
+enters the package: `check_word` for letters (a magma leaf and a tree label
+pass their own noun for the message), `check_alphabet` for the alphabet
+bound p, and `check_multidegree` for letter contents. An integer is an
+object of type int: `bool` is refused, since `True` is not the letter 1.
+The field's characteristic has its check in `scalars.check_characteristic`.
 """
 
 from __future__ import annotations
@@ -31,12 +38,32 @@ from .scalars import InputError, check_characteristic, field_coefficient
 Word = tuple[int, ...]
 Multidegree = tuple[int, ...]
 
-def check_word(word: Iterable[int], p: int) -> Word:
+def check_word(word: Iterable[int], p: int, what: str = "letter") -> Word:
+    """The word as a tuple, refused unless each letter is an int of 1..p;
+    `what` names a letter in the message."""
     w = tuple(word)
     for a in w:
-        if not isinstance(a, int) or not 1 <= a <= p:
-            raise InputError(f"letter {a!r} outside alphabet 1..{p}")
+        if type(a) is not int or not 1 <= a <= p:
+            raise InputError(f"{what} {a!r} outside alphabet 1..{p}")
     return w
+
+
+def check_alphabet(p: int) -> int:
+    """The alphabet bound, refused unless it is an int >= 1."""
+    if type(p) is not int:
+        raise InputError(f"alphabet bound must be an integer, got {p!r}")
+    if p < 1:
+        raise InputError(f"alphabet bound must be >= 1, got {p}")
+    return p
+
+
+def check_multidegree(m: Iterable[int]) -> Multidegree:
+    """The letter content as a tuple, refused unless it is nonempty and each
+    entry is a non-negative int."""
+    md = tuple(m)
+    if not md or any(type(x) is not int or x < 0 for x in md):
+        raise InputError(f"multidegree must be non-negative integers, got {m!r}")
+    return md
 
 
 def word_multidegree(word: Word, p: int) -> Multidegree:
@@ -80,8 +107,7 @@ class Chain:
 
     def __init__(self, p: int, terms: Mapping[Word, object] | None = None,
                  char: int | None = None):
-        if p < 1:
-            raise InputError(f"alphabet bound must be >= 1, got {p}")
+        check_alphabet(p)
         if char is not None:
             check_characteristic(char)
         self.p = p

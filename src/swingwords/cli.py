@@ -13,11 +13,11 @@ import json
 import sys
 
 from .bases import evenrun_experiment, h_basis, lie_basis, section4_table
-from .chains import Chain
+from .chains import Chain, check_alphabet, check_multidegree
 from .dims import dimension_report
 from .moves import eta, fold_l, fold_prime
 from .quotients import canonical_l, canonical_prime
-from .scalars import InputError, ResourceLimitError, check_characteristic
+from .scalars import InputError, ResourceLimitError
 from .textio import parse_chain, parse_swingword, render_chain, render_tensor
 from .trees import diagram_class, rho, tree_from_json
 from .verify import SUITES, run_suite
@@ -98,9 +98,7 @@ def _parse_multidegree(text: str) -> tuple[int, ...]:
         md = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"bad multidegree {text!r}") from exc
-    if not md or any(x < 0 for x in md):
-        raise InputError(f"bad multidegree {text!r}")
-    return md
+    return check_multidegree(md)
 
 
 def _emit(payload, fmt: str, text_lines) -> None:
@@ -116,10 +114,9 @@ def _chain_payload(chain: Chain) -> dict:
 
 
 def _run(args) -> int:
-    if getattr(args, "char", None) is not None:
-        check_characteristic(args.char)
-    if hasattr(args, "alphabet") and args.alphabet is not None and args.alphabet < 1:
-        raise InputError("alphabet bound must be >= 1")
+    # --char is checked by the library function that reads it
+    if getattr(args, "alphabet", None) is not None:
+        check_alphabet(args.alphabet)
     alphabet = getattr(args, "alphabet", None) or 2
 
     if args.command == "eta":
@@ -133,7 +130,9 @@ def _run(args) -> int:
         # fold first, so a rejected index fails before the note is printed
         result = fold_l(args.n, chain) if args.kind == "l" else fold_prime(args.n, chain)
         lengths = {len(w) for w in chain.terms}
-        if args.n < 2 or (lengths and args.n > max(lengths)):
+        # the primed fold kills a single letter at every index
+        if ((args.n < 2 or (lengths and args.n > max(lengths)))
+                and (args.kind == "l" or 1 not in lengths)):
             print(f"note: fold index {args.n} is out of range for every term; "
                   "the move is the identity there", file=sys.stderr)
         _emit(_chain_payload(result), args.format, [render_chain(result)])
@@ -213,18 +212,16 @@ def _run(args) -> int:
         _emit(table, args.format, lines)
         return 0 if table["match"] else 1
 
-    if args.command == "evenruns":
-        md = _parse_multidegree(args.multidegree)
-        result = evenrun_experiment(md)
-        lines = [f"multidegree {md}: target dimension {result['target_dimension']}"]
-        for v in result["variants"]:
-            lines.append(f"INFO {v['variant']}: count {v['count']}, rank {v['rank']}, "
-                         f"independent {v['independent']}, spanning {v['spanning']}, "
-                         f"matches dimension {v['matches_dimension']}")
-        _emit(result, args.format, lines)
-        return 0
-
-    raise InputError(f"unknown command {args.command!r}")
+    # evenruns: argparse admits no other command
+    md = _parse_multidegree(args.multidegree)
+    result = evenrun_experiment(md)
+    lines = [f"multidegree {md}: target dimension {result['target_dimension']}"]
+    for v in result["variants"]:
+        lines.append(f"INFO {v['variant']}: count {v['count']}, rank {v['rank']}, "
+                     f"independent {v['independent']}, spanning {v['spanning']}, "
+                     f"matches dimension {v['matches_dimension']}")
+    _emit(result, args.format, lines)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass, field
 from math import gcd
 
-from .chains import Multidegree, word_count
+from .chains import Multidegree, check_multidegree, word_count
 from .quotients import Family, relation_span
 from .scalars import InputError, ResourceLimitError
 
@@ -69,9 +69,7 @@ def witt_total(n: int, p: int) -> int:
 
 
 def _check_multidegree(m) -> Multidegree:
-    md = tuple(m)
-    if not md or any(not isinstance(x, int) or x < 0 for x in md):
-        raise InputError(f"multidegree must be non-negative integers, got {m!r}")
+    md = check_multidegree(m)
     if sum(md) < 1:
         raise InputError("multidegree must have a positive entry")
     return md
@@ -221,7 +219,6 @@ def dimension_report(kind: str, *, n: int | None = None, p: int | None = None,
         report.method = "both"
         report.extra["rank_oracle"] = computed
         if computed != report.value:
-            report.extra["agreement"] = False
             raise ArithmeticError(
                 f"rank oracle disagrees with the formula: {computed} != {report.value}")
         report.extra["agreement"] = True

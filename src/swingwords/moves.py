@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Union
 
-from .chains import Chain, Word, accumulate, word_count
+from .chains import Chain, Word, accumulate, check_alphabet, check_word, word_count
 from .scalars import MAX_WORDS, InputError, check_work, cleared, divided
 
 MagmaTerm = Union[int, tuple]
@@ -157,7 +157,7 @@ def fold_prime(n: int, chain: Chain) -> Chain:
 
 
 def magma_leaves(term: MagmaTerm) -> tuple[int, ...]:
-    if isinstance(term, int):
+    if not isinstance(term, tuple):  # a leaf, a letter once `check_magma` passes it
         return (term,)
     left, right = term
     return magma_leaves(left) + magma_leaves(right)
@@ -173,11 +173,7 @@ def magma_nodes(term: MagmaTerm, path: tuple[int, ...] = ()) -> list[tuple[int, 
 
 def check_magma(term: MagmaTerm, p: int) -> tuple[int, ...]:
     """The leaves of a magma term, each checked to be a letter of 1..p."""
-    leaves = magma_leaves(term)
-    for a in leaves:
-        if not isinstance(a, int) or not 1 <= a <= p:
-            raise InputError(f"magma leaf {a!r} outside alphabet 1..{p}")
-    return leaves
+    return check_word(magma_leaves(term), p, "magma leaf")
 
 
 def expansion_bound(leaves) -> int:
@@ -213,5 +209,6 @@ def commutator_expand(term: MagmaTerm, p: int) -> Chain:
     """Expand a magma term into the word algebra: a leaf is its letter and a
     node goes to left*right - right*left. The multidegree of the result equals
     the leaf multiset."""
+    check_alphabet(p)
     check_magma(term, p)
-    return Chain(p, dict(expand_word(term)))
+    return Chain._make(p, dict(expand_word(term)))

@@ -295,11 +295,11 @@ def canonical_l(chain: Chain, char: int | None = None) -> LieCanonical:
     span and flags the result. Applied to a tensor image it is the
     re-attachment ell.
     """
-    if not chain.is_homogeneous():
-        raise InputError("canonical form requires a homogeneous chain")
     q = chain.char if char is None else char
-    if chain.char not in (None, q):
-        raise InputError("mixed residue characteristics")
+    if q != chain.char:
+        if chain.char is not None:
+            raise InputError("mixed residue characteristics")
+        check_characteristic(q)
     degree = chain.degree()
     if degree is None or degree == 0:
         return LieCanonical(degree or 0, Chain(chain.p, chain.terms, q))
@@ -419,8 +419,6 @@ def canonical_prime(chain: Chain) -> PrimeCanonical:
     g-image with canonicalized left factors, kept as integer terms over one
     scale (see PrimeCanonical). Applied to a tensor image it is the
     re-attachment g_tilde into the primed quotient."""
-    if not chain.is_homogeneous():
-        raise InputError("canonical form requires a homogeneous chain")
     degree = chain.degree()
     if degree is None or degree <= 1:
         return PrimeCanonical(degree or 0, Chain._make(chain.p, {}, chain.char))

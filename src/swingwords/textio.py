@@ -12,16 +12,18 @@ parse and render are mutually inverse on normal forms.
 
 Reading a chain: each well-formed term, together with the sign or the end of
 text that follows it, is read by one match of `_TERM` at the current
-position; its letters come from one split on "," and a range check. Because
-the match must end at a sign or at the end of the text, a bare coefficient
-followed by "*" or "/" ("2*") and a digit run cut short ("14*01") fail to
-match instead of being misread. At the first text the pattern does not
+position; its letters come from one split on "," and `chains.check_word`.
+Because the match must end at a sign or at the end of the text, a bare
+coefficient followed by "*" or "/" ("2*") and a digit run cut short
+("14*01") fail to match instead of being misread. At the first text the pattern does not
 match, at a letter outside the alphabet, at a zero denominator and at a
 number longer than the interpreter converts to an int, the rest of the text
 goes to the token reader `_Tokens`, one token at a time. It is the one place
 that names an error and its position, and it reads any well-formed text it
 is given, so the result never depends on where the match stopped. The
-residue characteristic is checked once, before the first term.
+alphabet bound and the residue characteristic are checked once, before the
+first term, and the chain is made from the summed terms (`Chain._make`) with
+no second pass of checks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 import sys
 from operator import itemgetter
 
-from .chains import Chain, Word, accumulate
+from .chains import Chain, Word, accumulate, check_alphabet, check_word
 from .moves import MagmaTerm
 from .scalars import InputError, check_characteristic, make_coefficient
 
@@ -108,6 +110,7 @@ class _Tokens:
 
 def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
     """Parse the chain grammar into a normalized Chain over the alphabet 1..p."""
+    check_alphabet(p)
     if char is not None:
         check_characteristic(char)
     pairs = []
@@ -119,14 +122,12 @@ def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
             # from a list, so the tuple is allocated at its size: words live
             # on as memo keys, and tuple(map(...)) starts at 10 slots and may
             # keep that block when it shrinks
-            word = () if letters is None else tuple([*map(int, letters.split(","))])
+            word = () if letters is None else check_word([*map(int, letters.split(","))], p)
             if num is not None:
                 numerator = -int(num) if neg else int(num)
                 denominator = int(den) if den else 1
-        except ValueError:  # an empty letter, two numbers in one, or a number
-            break           # longer than the interpreter converts
-        if word and (min(word) < 1 or max(word) > p):
-            break
+        except ValueError:  # an empty letter, two numbers in one, a number longer
+            break           # than the interpreter converts, or a letter outside 1..p
         if num is None:
             coeff = 1
         elif not denominator:
@@ -136,10 +137,10 @@ def parse_chain(text: str, p: int, char: int | None = None) -> Chain:
                      else make_coefficient(numerator, denominator, char))
         pairs.append((word, coeff if sign == 1 else -coeff))
         if not sep:
-            return Chain(p, accumulate(pairs), char)
+            return Chain._make(p, {}, char)._in_field(accumulate(pairs))
         pos, sign = m.end(), 1 if sep == "+" else -1
     _read_tokens(_Tokens(text, pos), p, char, pairs, sign)
-    return Chain(p, accumulate(pairs), char)
+    return Chain._make(p, {}, char)._in_field(accumulate(pairs))
 
 
 def _read_tokens(tokens: _Tokens, p: int, char: int | None, pairs: list, sign: int) -> None:
@@ -182,8 +183,10 @@ def _parse_word(tokens: _Tokens, p: int) -> Word:
     letters = []
     while True:
         letter = tokens.number("a letter")
-        if not 1 <= letter <= p:
-            raise ChainSyntaxError(f"letter {letter} outside alphabet 1..{p}", tokens.pos)
+        try:
+            check_word((letter,), p)
+        except InputError as exc:
+            raise ChainSyntaxError(str(exc), tokens.pos) from None
         letters.append(letter)
         if tokens.accept("]"):
             return tuple(letters)
@@ -239,7 +242,7 @@ def render_tensor(chain: Chain) -> str:
 
 def parse_magma(text: str) -> MagmaTerm:
     """Parse a magma s-expression: a leaf is a letter, a node is '(a b)'."""
-    term, rest = _parse_magma(text.strip(), 0)
+    term, rest = _parse_magma(text, 0)
     if text[rest:].strip():
         raise InputError(f"trailing input after magma term: {text[rest:]!r}")
     return term
@@ -290,12 +293,15 @@ def parse_swingword(text: str):
         return SwingWord(tail=_int(value, "the letter"), beads=(), head=None, sign=sign)
     if len(parts) != 3:
         raise InputError(f"swing word needs 'tail | beads | head': {text!r}")
-    tail_text, beads_text, head_text = (part.strip() for part in parts)
+    tail_text, head_text = parts[0].strip(), parts[2].strip()
     if not tail_text.isdecimal() or not head_text.isdecimal():
         raise InputError(f"swing word tail and head must be letters: {text!r}")
+    # the beads are read in the text up to their closing '|', so that a
+    # position in a message is a position in the text as given
+    pos = len(text.rstrip()) - len(body) + len(parts[0]) + 2
+    beads_text = text[:pos + len(parts[1])]
     beads = []
-    pos = 0
-    while pos < len(beads_text):  # stripped, so a term follows any space
+    while (pos := _SPACES.match(beads_text, pos).end()) < len(beads_text):
         term, pos = _parse_magma(beads_text, pos)
         beads.append(term)
     return SwingWord(tail=_int(tail_text, "the tail"), beads=tuple(beads),

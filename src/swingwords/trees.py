@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import Chain, Word, accumulate, check_word
+from .chains import Chain, Word, accumulate, check_alphabet, check_word
 from .moves import MagmaTerm, check_magma, expand_word, expansion_bound, magma_nodes
 from .quotients import PrimeCanonical, canonical_prime
 from .scalars import MAX_WORDS, InputError, check_work, field_coefficient
@@ -144,7 +144,8 @@ def validate(tree: JacobiTree) -> None:
             raise InputError("acyclic: single vertex with edges")
         if v not in tree.legs:
             raise InputError("label: degenerate vertex must be labeled")
-        _check_letter(tree.legs[v], tree.p)
+        check_word((tree.legs[v],), tree.p, "label: letter")
+        check_alphabet(tree.p)
         tree._valid = True
         return
     for u, v in tree.edges:
@@ -165,7 +166,7 @@ def validate(tree: JacobiTree) -> None:
         if degree == 1:
             if v not in tree.legs:
                 raise InputError(f"label: leg {v} is unlabeled")
-            _check_letter(tree.legs[v], tree.p)
+            check_word((tree.legs[v],), tree.p, "label: letter")
             if v in tree.cyclic:
                 raise InputError(f"cyclic: leg {v} must not carry a cyclic order")
         else:
@@ -174,12 +175,9 @@ def validate(tree: JacobiTree) -> None:
             order = tree.cyclic.get(v)
             if order is None or sorted(order) != sorted(inc[v]):
                 raise InputError(f"cyclic: vertex {v} needs a cyclic order of its 3 edges")
+    # a leg's letter lies in 1..p, so only a p that is not an int is left to refuse
+    check_alphabet(tree.p)
     tree._valid = True
-
-
-def _check_letter(letter, p):
-    if not isinstance(letter, int) or not 1 <= letter <= p:
-        raise InputError(f"label: letter {letter!r} outside alphabet 1..{p}")
 
 
 def _cyclic_after(tree: JacobiTree, vertex: int, edge_index: int) -> tuple[int, int]:
@@ -344,6 +342,7 @@ def rho(sw: SwingWord, p: int) -> Chain:
     once, so every word built is valid and the chain is made unchecked.
     Before each bead is expanded and multiplied in, the terms that step can
     build are bounded by `expansion_bound`, and past MAX_WORDS refused."""
+    check_alphabet(p)
     if sw.head is None:
         return Chain.of_word(p, (sw.tail,), sw.sign)
     terms: dict[Word, object] = accumulate([((sw.tail,), field_coefficient(sw.sign))])
@@ -354,8 +353,6 @@ def rho(sw: SwingWord, p: int) -> Chain:
         expansion = expand_word(bead).items()
         terms = accumulate((w1 + w2, c1 * c2) for w1, c1 in terms.items()
                            for w2, c2 in expansion)
-    if p < 1:
-        raise InputError(f"alphabet bound must be >= 1, got {p}")
     check_word((sw.tail, sw.head), p)
     return Chain._make(p, {w + (sw.head,): c for w, c in terms.items()})
 
@@ -423,13 +420,8 @@ def tree_to_json(tree: JacobiTree) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: bool is a subclass of int, but true is not 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_list(value, what: str) -> list:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise InputError(f"tree JSON: {what} must be a list of integers")
     return value
 
@@ -454,15 +446,17 @@ def tree_from_json(text: str, p: int | None = None) -> JacobiTree:
         if key not in payload:
             raise InputError(f"tree JSON is missing {key!r}")
     legs = _int_keyed(payload["legs"], "legs")
-    if not all(_is_int(letter) for letter in legs.values()):
+    if not all(type(letter) is int for letter in legs.values()):
         raise InputError("tree JSON: leg letters must be integers")
     edges = payload["edges"]
     if not isinstance(edges, list) or any(len(_int_list(e, "each edge")) != 2 for e in edges):
         raise InputError("tree JSON: 'edges' must be a list of vertex pairs")
     cyclic = {v: tuple(_int_list(order, "each cyclic order"))
               for v, order in _int_keyed(payload.get("cyclic", {}), "cyclic").items()}
-    if "p" in payload and not (_is_int(payload["p"]) and payload["p"] >= 1):
-        raise InputError("tree JSON: 'p' must be a positive integer")
+    try:
+        check_alphabet(payload.get("p", 1))
+    except InputError:
+        raise InputError("tree JSON: 'p' must be a positive integer") from None
     if p is None:
         p = payload.get("p", max(legs.values(), default=1))
     tree = JacobiTree(_int_list(payload["vertices"], "'vertices'"),
@@ -495,13 +489,13 @@ def enumerate_topologies(num_legs: int) -> list[JacobiTree]:
 
 def relabel_legs(tree: JacobiTree, letters, p: int) -> JacobiTree:
     """Assign the given letters to the legs in stored vertex order. The
-    letters are checked, so the result keeps the input's `_valid` flag."""
+    letters and p are checked, so the result keeps the input's `_valid` flag."""
     legs = tree.leg_vertices()
-    letters = list(letters)
+    letters = tuple(letters)
     if len(letters) != len(legs):
         raise InputError(f"need {len(legs)} letters, got {len(letters)}")
-    for letter in letters:
-        _check_letter(letter, p)
+    check_word(letters, p, "label: letter")
+    check_alphabet(p)  # after the letters, which name a p below 1
     relabelled = JacobiTree(tree.vertices, tree.edges, tree.cyclic,
                             dict(zip(legs, letters)), p)
     relabelled._valid = tree._valid

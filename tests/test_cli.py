@@ -51,6 +51,47 @@ def test_fold_out_of_range_warns(capsys):
     assert "identity" in err
 
 
+@pytest.mark.parametrize("n", ["1", "7"])
+def test_primed_fold_of_a_single_letter_is_zero_without_a_note(capsys, n):
+    # the primed fold kills a single letter at every index, so it is not the identity
+    code, out, err = run(capsys, "fold", "--kind", "prime", "--n", n, "--chain", "[1]")
+    assert (code, out, err) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("chain, expected, note", [
+    ("[1,2]", "1*[1,2]", True),
+    ("[1] + [1,2]", "1*[1,2]", False),
+])
+def test_primed_fold_notes_the_identity_only_when_no_term_is_a_letter(capsys, chain,
+                                                                      expected, note):
+    code, out, err = run(capsys, "fold", "--kind", "prime", "--n", "1", "--chain", chain)
+    assert (code, out.strip()) == (0, expected)
+    assert (err == "note: fold index 1 is out of range for every term; "
+                   "the move is the identity there\n") is note
+    assert note or err == ""
+
+
+def test_rho_reports_a_bead_error_at_its_position_in_the_text(capsys):
+    code, out, err = run(capsys, "rho", "--swingword", "<1 | (1 2) x | 2>")
+    assert (code, out, err) == (2, "", "error: expected a letter at position 11\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eta", "--chain", "[1]", "-p", "0"], "alphabet bound must be >= 1, got 0"),
+    (["dims", "witt", "--n", "3", "--p", "2", "--char", "4"],
+     "only the rank oracle reads a characteristic; --char needs --oracle"),
+    (["dims", "witt", "--n", "3", "--p", "2", "--oracle", "--char", "4"],
+     "characteristic must be an odd prime, got 4"),
+    (["reduce", "--space", "l", "--chain", "[1] + [1,2]"], "chain is not homogeneous"),
+    (["reduce", "--space", "prime", "--chain", "[1] + [1,2]"], "chain is not homogeneous"),
+    (["enumerate", "--space", "lie", "--multidegree=-1,2"],
+     "multidegree must be non-negative integers, got (-1, 2)"),
+])
+def test_each_input_is_refused_by_its_one_check(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_reduce_prime_single_letter_is_zero(capsys):
     code, out, _ = run(capsys, "reduce", "--space", "prime", "--chain", "1*[1]",
                        "-p", "2")

@@ -1,0 +1,129 @@
+"""Each kind of caller input has one check, applied where it enters: letters
+(`chains.check_word`), the alphabet bound (`chains.check_alphabet`), letter
+contents (`chains.check_multidegree`) and the residue characteristic
+(`scalars.check_characteristic`). An integer is an object of type int, so
+bool and float inputs are refused with an InputError naming the input."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from swingwords.bases import enum_words, evenrun_experiment, h_basis, lie_basis
+from swingwords.chains import Chain
+from swingwords.dims import h_dim_multidegree, witt_multidegree
+from swingwords.moves import commutator_expand
+from swingwords.quotients import canonical_l
+from swingwords.scalars import InputError
+from swingwords.textio import parse_chain, render_chain
+from swingwords.trees import (JacobiTree, SwingWord, enumerate_topologies, relabel_legs, rho,
+                              validate)
+
+LETTER = r"^letter True outside alphabet 1\.\.2$"
+LEAF = r"^magma leaf True outside alphabet 1\.\.2$"
+LABEL = r"^label: letter True outside alphabet 1\.\.2$"
+ALPHABET = r"^alphabet bound must be an integer, got "
+MULTIDEGREE = r"^multidegree must be non-negative integers, got "
+
+
+def _shape():
+    return enumerate_topologies(4)[0]
+
+
+def _tree(legs, p):
+    """The single-edge tree with legs 1 and 2."""
+    return JacobiTree((1, 2), [(1, 2)], {}, legs, p)
+
+
+CHAIN = Chain(2, {(1, 2): 1, (2, 1): -1})
+
+CASES = {
+    "Chain bool letter": (lambda: Chain(2, {(True, 2): 1}), LETTER),
+    "Chain float p": (lambda: Chain(2.5, {(1,): 1}), ALPHABET),
+    "Chain bool p": (lambda: Chain(True, {(1,): 1}), ALPHABET),
+    "parse_chain float p": (lambda: parse_chain("[1]", 2.0), ALPHABET),
+    "parse_chain bool p": (lambda: parse_chain("[1]", True), ALPHABET),
+    "rho bool tail": (lambda: rho(SwingWord(tail=True, beads=(2,), head=2), 2), LETTER),
+    "rho bool head": (lambda: rho(SwingWord(tail=1, beads=(2,), head=True), 2), LETTER),
+    "rho bool single letter": (lambda: rho(SwingWord(tail=True, beads=(), head=None), 2), LETTER),
+    "rho bool bead leaf": (lambda: rho(SwingWord(tail=1, beads=((True, 2),), head=2), 2), LEAF),
+    "rho float p": (lambda: rho(SwingWord(tail=1, beads=(2,), head=2), 2.5), ALPHABET),
+    "rho bool p": (lambda: rho(SwingWord(tail=1, beads=(), head=1), True), ALPHABET),
+    "commutator_expand bool leaf": (lambda: commutator_expand((True, 2), 2), LEAF),
+    "commutator_expand float leaf": (lambda: commutator_expand((1.0, 2), 2),
+                                     r"^magma leaf 1\.0 outside alphabet 1\.\.2$"),
+    "commutator_expand float p": (lambda: commutator_expand((1, 2), 2.5), ALPHABET),
+    "commutator_expand bool p": (lambda: commutator_expand((1, 1), True), ALPHABET),
+    "relabel_legs bool letter": (lambda: relabel_legs(_shape(), (1, True, 2, 2), 2), LABEL),
+    "relabel_legs float p": (lambda: relabel_legs(_shape(), (1, 1, 2, 2), 2.5), ALPHABET),
+    "relabel_legs bool p": (lambda: relabel_legs(_shape(), (1, 1, 1, 1), True), ALPHABET),
+    "validate bool letter": (lambda: validate(_tree({1: 1, 2: True}, 2)), LABEL),
+    "validate float p": (lambda: validate(_tree({1: 1, 2: 2}, 2.5)), ALPHABET),
+    "validate bool p": (lambda: validate(_tree({1: 1, 2: 1}, True)), ALPHABET),
+    "validate single leg float p": (
+        lambda: validate(JacobiTree((1,), [], {}, {1: 1}, 1.0)), ALPHABET),
+    "canonical_l char 4": (lambda: canonical_l(CHAIN, 4),
+                           r"^characteristic must be an odd prime, got 4$"),
+    "canonical_l char 2": (lambda: canonical_l(CHAIN, 2), r"^characteristic 2 is not supported$"),
+    "canonical_l bool char": (lambda: canonical_l(CHAIN, True),
+                              r"^characteristic must be an integer, got True$"),
+}
+for name, entry in {"enum_words": enum_words, "lie_basis": lie_basis, "h_basis": h_basis,
+                    "evenrun_experiment": evenrun_experiment,
+                    "witt_multidegree": witt_multidegree,
+                    "h_dim_multidegree": h_dim_multidegree}.items():
+    for md in ((True, 1), (1, True), (1.0, 1), (1.5, 1)):
+        CASES[f"{name} {md}"] = ((lambda entry=entry, md=md: entry(md)), MULTIDEGREE)
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+def test_each_entry_point_refuses_a_bad_input_kind_with_its_noun(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+P = 3
+words = st.lists(st.integers(min_value=1, max_value=P), max_size=4).map(tuple)
+# denominators below 5, so every coefficient has a residue mod 5 and mod 7
+coeffs = st.one_of(st.integers(min_value=-12, max_value=12),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+fields = st.sampled_from([None, 5, 7])
+
+
+def _term_text(word, coeff) -> str:
+    """One term with a leading sign, e.g. '- 3/2*[1,2]', or '+ 4' for the
+    empty word."""
+    sign = "-" if coeff < 0 else "+"
+    letters = f"*[{','.join(map(str, word))}]" if word else ""
+    return f"{sign} {abs(coeff)}{letters}"
+
+
+@given(st.dictionaries(words, coeffs, max_size=5), fields)
+def test_parse_chain_reads_back_every_rendered_chain(terms, q):
+    chain = Chain(P, terms, q)
+    parsed = parse_chain(render_chain(chain), P, q)
+    assert parsed == chain == Chain(P, chain.terms, q)
+    assert all(type(c) in (int, Fraction) for c in parsed.terms.values())
+
+
+@given(st.lists(st.tuples(words, coeffs), min_size=1, max_size=8), fields)
+def test_parse_chain_sums_repeated_terms_in_the_field(pairs, q):
+    """Terms that repeat a word are summed and read in the field: residues
+    that sum to a multiple of q cancel, as chain arithmetic says."""
+    text = " ".join(_term_text(w, c) for w, c in pairs).lstrip("+ ")
+    expected = Chain(P, {}, q)
+    for word, coeff in pairs:
+        expected = expected + Chain(P, {word: coeff}, q)
+    assert parse_chain(text, P, q) == expected
+
+
+@pytest.mark.parametrize("text, q, expected", [
+    ("3*[1] + 2*[1]", 5, {}),
+    ("3*[1] + 2*[1]", 7, {(1,): 5}),
+    ("4*[1,2] + 4*[1,2] - [2,1]", 7, {(1, 2): 1, (2, 1): 6}),
+    ("1/2*[1] + 1/2*[1]", None, {(1,): 1}),
+    ("2 - 7", 5, {}),
+])
+def test_parse_chain_residue_sums_that_cancel(text, q, expected):
+    chain = parse_chain(text, 2, q)
+    assert chain.terms == expected and chain.char == q

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,27 @@ def test_swingword_round_trip():
     assert parse_swingword("<3>") == SwingWord(tail=3, beads=(), head=None)
     with pytest.raises(InputError):
         parse_swingword("1 | 2 | 3")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("   (1 x)", "expected a letter at position 6"),
+    ("  (1 2", "expected ')' at position 6"),
+    (" ((1 2) 3", "expected ')' at position 9"),
+])
+def test_parse_magma_reports_positions_in_the_text_as_given(text, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_magma(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("<1 | (1 2) x | 2>", "expected a letter at position 11"),
+    ("<1 | (1 2 | 2>", "expected ')' at position 10"),
+    ("  - <1 |x| 2>", "expected a letter at position 8"),
+    ("<1|(2 3) (1 ) |2>", "expected a letter at position 12"),
+])
+def test_parse_swingword_reports_bead_positions_in_the_text_as_given(text, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_swingword(text)
 
 
 def test_tensor_render_format():
