@@ -23,8 +23,9 @@ divided once on the way out (`scalars.cleared`, `scalars.divided`).
 Each kind of caller input has one check here, applied once where the input
 enters the package: `check_word` for letters (a magma leaf and a tree label
 pass their own noun for the message), `check_alphabet` for the alphabet
-bound p, and `check_multidegree` for letter contents. An integer is an
-object of type int: `bool` is refused, since `True` is not the letter 1.
+bound p, `check_degree` for a word length n, and `check_multidegree` for
+letter contents. An integer is an object of type int: `bool` is refused,
+since `True` is not the letter 1.
 The field's characteristic has its check in `scalars.check_characteristic`.
 """
 
@@ -41,20 +42,32 @@ Multidegree = tuple[int, ...]
 def check_word(word: Iterable[int], p: int, what: str = "letter") -> Word:
     """The word as a tuple, refused unless each letter is an int of 1..p;
     `what` names a letter in the message."""
-    w = tuple(word)
+    try:
+        w = tuple(word)
+    except TypeError:
+        raise InputError(f"a word must be a sequence of letters, got {word!r}") from None
     for a in w:
         if type(a) is not int or not 1 <= a <= p:
             raise InputError(f"{what} {a!r} outside alphabet 1..{p}")
     return w
 
 
+def _positive_int(x: int, what: str) -> int:
+    if type(x) is not int:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    if x < 1:
+        raise InputError(f"{what} must be >= 1, got {x}")
+    return x
+
+
 def check_alphabet(p: int) -> int:
     """The alphabet bound, refused unless it is an int >= 1."""
-    if type(p) is not int:
-        raise InputError(f"alphabet bound must be an integer, got {p!r}")
-    if p < 1:
-        raise InputError(f"alphabet bound must be >= 1, got {p}")
-    return p
+    return _positive_int(p, "alphabet bound")
+
+
+def check_degree(n: int) -> int:
+    """A word length (degree), refused unless it is an int >= 1."""
+    return _positive_int(n, "degree")
 
 
 def check_multidegree(m: Iterable[int]) -> Multidegree:
@@ -113,7 +126,12 @@ class Chain:
         self.p = p
         pruned = {}
         if terms:
-            for word, coeff in terms.items():
+            try:
+                items = terms.items()
+            except AttributeError:
+                raise InputError("chain terms must be a mapping of words to "
+                                 f"coefficients, got {type(terms).__name__}") from None
+            for word, coeff in items:
                 coeff = field_coefficient(coeff, char)
                 if coeff:
                     pruned[check_word(word, p)] = coeff

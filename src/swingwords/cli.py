@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, chain=False):
-        sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("-p", "--alphabet", type=int, default=None, metavar="P",
                         help="alphabet bound (letters 1..P; default 2, or the "
                              "tree file's own bound)")
@@ -69,27 +68,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="cross-check by relation-span rank")
     sp.add_argument("--char", type=int, default=None, metavar="Q",
                     help="odd-prime residue characteristic of the rank oracle")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("enumerate", help="enumerate a basis per multidegree")
     sp.add_argument("--space", choices=("lie", "h"), required=True)
     sp.add_argument("--multidegree", required=True, help="comma list, e.g. 3,3,3")
-    sp.add_argument("--format", choices=("text", "json"), default="json")
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=tuple(SUITES), required=True)
     sp.add_argument("--max-degree", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("section4",
                         help="recompute the degree-9, 9-letter dimension table")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("evenruns", help="even-run predicate experiment")
     sp.add_argument("--multidegree", required=True, help="two-letter list, e.g. 3,5")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
+    for name, sp in sub.choices.items():
+        sp.add_argument("--format", choices=("text", "json"),
+                        default="json" if name == "enumerate" else "text")
     return parser
 
 
@@ -109,24 +106,25 @@ def _emit(payload, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _chain_payload(chain: Chain) -> dict:
-    return {"p": chain.p, "chain": render_chain(chain)}
+def _chain_output(chain: Chain) -> tuple[dict, list[str], int]:
+    text = render_chain(chain)
+    return {"p": chain.p, "chain": text}, [text], 0
 
 
-def _run(args) -> int:
+def _run(args) -> tuple[dict, list[str], int]:
+    """Compute one command: its JSON payload, its text lines and its exit
+    code. Each result is rendered once, for both formats."""
     # --char is checked by the library function that reads it
     if getattr(args, "alphabet", None) is not None:
         check_alphabet(args.alphabet)
     alphabet = getattr(args, "alphabet", None) or 2
+    if hasattr(args, "chain"):
+        chain = parse_chain(args.chain, alphabet, args.char)
 
     if args.command == "eta":
-        chain = parse_chain(args.chain, alphabet, args.char)
-        result = eta(chain)
-        _emit(_chain_payload(result), args.format, [render_chain(result)])
-        return 0
+        return _chain_output(eta(chain))
 
     if args.command == "fold":
-        chain = parse_chain(args.chain, alphabet, args.char)
         # fold first, so a rejected index fails before the note is printed
         result = fold_l(args.n, chain) if args.kind == "l" else fold_prime(args.n, chain)
         lengths = {len(w) for w in chain.terms}
@@ -135,28 +133,20 @@ def _run(args) -> int:
                 and (args.kind == "l" or 1 not in lengths)):
             print(f"note: fold index {args.n} is out of range for every term; "
                   "the move is the identity there", file=sys.stderr)
-        _emit(_chain_payload(result), args.format, [render_chain(result)])
-        return 0
+        return _chain_output(result)
 
     if args.command == "reduce":
-        chain = parse_chain(args.chain, alphabet, args.char)
         if args.space == "l":
             lie = canonical_l(chain, args.char)
-            payload = {"space": "l", "degree": lie.degree, "method": lie.method,
-                       "canonical": render_chain(lie.chain)}
-            _emit(payload, args.format, [render_chain(lie.chain)])
-        else:
-            prime = canonical_prime(chain)
-            payload = {"space": "prime", "degree": prime.degree,
-                       "canonical": render_tensor(prime.image)}
-            _emit(payload, args.format, [render_tensor(prime.image)])
-        return 0
+            text = render_chain(lie.chain)
+            return ({"space": "l", "degree": lie.degree, "method": lie.method,
+                     "canonical": text}, [text], 0)
+        prime = canonical_prime(chain)
+        text = render_tensor(prime.image)
+        return {"space": "prime", "degree": prime.degree, "canonical": text}, [text], 0
 
     if args.command == "rho":
-        sw = parse_swingword(args.swingword)
-        result = rho(sw, alphabet)
-        _emit(_chain_payload(result), args.format, [render_chain(result)])
-        return 0
+        return _chain_output(rho(parse_swingword(args.swingword), alphabet))
 
     if args.command == "class":
         try:
@@ -164,38 +154,31 @@ def _run(args) -> int:
                 text = handle.read()
         except OSError as exc:
             raise InputError(f"cannot read tree file: {exc}") from exc
-        tree = tree_from_json(text, args.alphabet)
-        cls = diagram_class(tree)
-        payload = {"degree": cls.degree, "class": render_tensor(cls.image)}
-        _emit(payload, args.format, [render_tensor(cls.image)])
-        return 0
+        cls = diagram_class(tree_from_json(text, args.alphabet))
+        text = render_tensor(cls.image)
+        return {"degree": cls.degree, "class": text}, [text], 0
 
     if args.command == "dims":
         md = _parse_multidegree(args.multidegree) if args.multidegree else None
         report = dimension_report(args.kind, n=args.n, p=args.p, multidegree=md,
                                   oracle=args.oracle, char=args.char)
-        _emit(report.to_dict(), args.format,
-              [f"{report.query} = {report.value}" +
-               (f"  [{report.method}]" if report.method != "formula" else "")])
-        return 0
+        method = f"  [{report.method}]" if report.method != "formula" else ""
+        return report.to_dict(), [f"{report.query} = {report.value}{method}"], 0
 
     if args.command == "enumerate":
         md = _parse_multidegree(args.multidegree)
         basis = lie_basis(md) if args.space == "lie" else h_basis(md)
-        payload = basis.to_dict()
         lines = [f"{basis.space} basis at multidegree {md}: dimension {len(basis.words)}"]
         lines += ["  " + "".join(str(a) for a in w) for w in basis.words]
         lines.append(f"certificate: {basis.certificate}")
-        _emit(payload, args.format, lines)
-        return 0
+        return basis.to_dict(), lines, 0
 
     if args.command == "verify":
         report = run_suite(args.suite, args.max_degree, args.p)
         lines = [f"{r.status.upper():4s} | {r.anchor} | expected: {r.expected} | "
                  f"computed: {r.computed}" for r in report.records]
         lines.append(f"suite {report.name}: {report.status.upper()}")
-        _emit(report.to_dict(), args.format, lines)
-        return report.exit_code
+        return report.to_dict(), lines, report.exit_code
 
     if args.command == "section4":
         table = section4_table()
@@ -209,8 +192,7 @@ def _run(args) -> int:
         status = "PASS" if table["match"] else "FAIL"
         lines.append(f"{status} grand total: {table['grand_total']} "
                      f"(printed {table['printed_total']}, formula {table['formula_total']})")
-        _emit(table, args.format, lines)
-        return 0 if table["match"] else 1
+        return table, lines, 0 if table["match"] else 1
 
     # evenruns: argparse admits no other command
     md = _parse_multidegree(args.multidegree)
@@ -220,8 +202,7 @@ def _run(args) -> int:
         lines.append(f"INFO {v['variant']}: count {v['count']}, rank {v['rank']}, "
                      f"independent {v['independent']}, spanning {v['spanning']}, "
                      f"matches dimension {v['matches_dimension']}")
-    _emit(result, args.format, lines)
-    return 0
+    return result, lines, 0
 
 
 def main(argv=None) -> int:
@@ -232,7 +213,7 @@ def main(argv=None) -> int:
         print("error: '--' is not a value for any option", file=sys.stderr)
         return 2
     try:
-        return _run(args)
+        payload, lines, code = _run(args)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -249,6 +230,8 @@ def main(argv=None) -> int:
         # a certificate or cross-check disagreed: a verification failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit(payload, args.format, lines)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass, field
 from math import gcd
 
-from .chains import Multidegree, check_multidegree, word_count
+from .chains import Multidegree, check_alphabet, check_degree, check_multidegree, word_count
 from .quotients import Family, relation_span
 from .scalars import InputError, ResourceLimitError
 
@@ -62,8 +62,8 @@ def _exact_div(num: int, den: int) -> int:
 def witt_total(n: int, p: int) -> int:
     """Dimension of the degree-n graded piece of the free Lie algebra on p
     letters: (1/n) * sum over d | n of mobius(d) * p^(n/d)."""
-    if n < 1 or p < 1:
-        raise InputError("witt_total needs n >= 1 and p >= 1")
+    check_degree(n)
+    check_alphabet(p)
     total = sum(mu * p ** (n // d) for d, mu in _moebius_divisors(n))
     return _exact_div(total, n)
 
@@ -88,8 +88,8 @@ def h_dim_total(n: int, p: int) -> int:
     """Dimension of the degree-n space of connected diagram classes:
     p * witt_total(n-1, p) - witt_total(n, p) for n >= 2, and 0 at n = 1
     (single letters die under the primed fold)."""
-    if n < 1 or p < 1:
-        raise InputError("h_dim_total needs n >= 1 and p >= 1")
+    check_degree(n)
+    check_alphabet(p)
     if n == 1:
         return 0
     return p * witt_total(n - 1, p) - witt_total(n, p)
@@ -203,8 +203,7 @@ def dimension_report(kind: str, *, n: int | None = None, p: int | None = None,
         raise InputError("witt needs --n and --p" if kind == "witt"
                          else "h needs --n and --p (or --multidegree)")
     query = f"{kind}(n={n}, p={p})"
-    if p >= 1:  # else the formula names the bad input
-        _refuse_before(query, n, (n - 1) * (p.bit_length() - 1))
+    _refuse_before(query, check_degree(n), (n - 1) * (check_alphabet(p).bit_length() - 1))
     if kind == "witt":
         report = DimensionReport(query, witt_total(n, p),
                                  anchor="free Lie algebra dimension via the Moebius sum")

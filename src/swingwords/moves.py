@@ -159,7 +159,10 @@ def fold_prime(n: int, chain: Chain) -> Chain:
 def magma_leaves(term: MagmaTerm) -> tuple[int, ...]:
     if not isinstance(term, tuple):  # a leaf, a letter once `check_magma` passes it
         return (term,)
-    left, right = term
+    try:
+        left, right = term
+    except ValueError:
+        raise InputError(f"a magma node must be a pair, got {term!r}") from None
     return magma_leaves(left) + magma_leaves(right)
 
 

@@ -51,7 +51,8 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Literal
 
-from .chains import Chain, Multidegree, Word, accumulate, word_count, word_multidegree
+from .chains import (Chain, Multidegree, Word, accumulate, check_alphabet, check_degree,
+                     check_word, word_count, word_multidegree)
 from .linalg import RowSpace
 from .moves import (eta_bound, eta_word, fold_bound, fold_l, fold_l_word,
                     fold_prime_word, linear_extension, linear_image, shared_words)
@@ -176,8 +177,8 @@ class RelationSpan:
     """
 
     def __init__(self, degree: int, p: int, family: Family, char: int | None = None):
-        if degree < 1 or p < 1:
-            raise InputError("degree and alphabet bound must be >= 1")
+        check_degree(degree)
+        check_alphabet(p)
         if family not in ("l", "prime"):
             raise InputError(f"unknown relation family {family!r}")
         if char is not None:
@@ -237,9 +238,7 @@ class RelationSpan:
             raise InputError("chain degree does not match the relation span")
         if chain.p > self.p:
             for word in chain.terms:
-                if max(word) > self.p:
-                    raise InputError(f"letter {max(word)} is outside the relation "
-                                     f"span's alphabet 1..{self.p}")
+                check_word(word, self.p)
         per_md: dict[Multidegree, dict[Word, object]] = {}
         for word, coeff in chain.terms.items():
             per_md.setdefault(word_multidegree(word, self.p), {})[word] = coeff
@@ -277,7 +276,8 @@ def _appended(blocks: dict[Multidegree, RowSpace], p: int,
 def relation_span(degree: int, p: int, family: Family,
                   char: int | None = None) -> RelationSpan:
     """Memoized relation span; repeated requests return the same object."""
-    key = (degree, p, family, char)
+    # checked before the lookup: a bool or float equals an int key
+    key = (check_degree(degree), check_alphabet(p), family, char)
     span = _SPAN_MEMO.get(key)
     if span is None:
         span = RelationSpan(degree, p, family, char)

@@ -30,6 +30,8 @@ has it. `as_swap`, `ihx_expand` and `relabel_legs` copy the flag from their
 input (their outputs are trees whenever the input is one; `relabel_legs`
 checks the new letters), so a tree is checked once, when it is loaded or
 built, and a move's or a relabelling's outputs need no second walk.
+`read_swingword`, and so `tree_chain` and `is_swing`, calls `validate`
+first: a tree built by hand is checked when it is first read.
 """
 
 from __future__ import annotations
@@ -304,12 +306,13 @@ def read_swingword(v: Vertebrate) -> SwingWord:
     positive reading is (in, bead, out), so the sign flips when the edge
     toward the head comes first."""
     tree = v.tree
+    validate(tree)
+    if v.head not in tree.legs or v.tail not in tree.legs:
+        raise InputError("head and tail must be legs")
     if v.head == v.tail:
         if len(tree.vertices) == 1:
             return SwingWord(tail=tree.legs[v.head], beads=(), head=None)
         raise InputError("head and tail coincide on a non-degenerate tree")
-    if v.head not in tree.legs or v.tail not in tree.legs:
-        raise InputError("head and tail must be legs")
     view = _view(tree.vertices, tree.edges)
     inc = view.inc
     toward_head = view.toward(v.head)

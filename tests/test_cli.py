@@ -86,6 +86,9 @@ def test_rho_reports_a_bead_error_at_its_position_in_the_text(capsys):
     (["reduce", "--space", "prime", "--chain", "[1] + [1,2]"], "chain is not homogeneous"),
     (["enumerate", "--space", "lie", "--multidegree=-1,2"],
      "multidegree must be non-negative integers, got (-1, 2)"),
+    (["dims", "witt", "--n", "0", "--p", "3"], "degree must be >= 1, got 0"),
+    (["dims", "h", "--n", "3", "--p", "0"], "alphabet bound must be >= 1, got 0"),
+    (["dims", "h", "--n", "-1", "--p", "2", "--oracle"], "degree must be >= 1, got -1"),
 ])
 def test_each_input_is_refused_by_its_one_check(capsys, argv, message):
     code, out, err = run(capsys, *argv)

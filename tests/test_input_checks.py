@@ -2,7 +2,9 @@
 (`chains.check_word`), the alphabet bound (`chains.check_alphabet`), letter
 contents (`chains.check_multidegree`) and the residue characteristic
 (`scalars.check_characteristic`). An integer is an object of type int, so
-bool and float inputs are refused with an InputError naming the input."""
+bool and float inputs are refused with an InputError naming the input. A
+word, a chain's terms, a magma node and a tree read for its swing word are
+refused by shape, also with an InputError."""
 
 from fractions import Fraction
 
@@ -11,13 +13,14 @@ from hypothesis import given, strategies as st
 
 from swingwords.bases import enum_words, evenrun_experiment, h_basis, lie_basis
 from swingwords.chains import Chain
-from swingwords.dims import h_dim_multidegree, witt_multidegree
+from swingwords.dims import (dimension_report, h_dim_multidegree, h_dim_total, rank_oracle,
+                             witt_multidegree, witt_total)
 from swingwords.moves import commutator_expand
-from swingwords.quotients import canonical_l
+from swingwords.quotients import RelationSpan, canonical_l, relation_span
 from swingwords.scalars import InputError
 from swingwords.textio import parse_chain, render_chain
-from swingwords.trees import (JacobiTree, SwingWord, enumerate_topologies, relabel_legs, rho,
-                              validate)
+from swingwords.trees import (JacobiTree, SwingWord, Vertebrate, enumerate_topologies, is_swing,
+                              read_swingword, relabel_legs, rho, tree_chain, validate)
 
 LETTER = r"^letter True outside alphabet 1\.\.2$"
 LEAF = r"^magma leaf True outside alphabet 1\.\.2$"
@@ -68,6 +71,46 @@ CASES = {
     "canonical_l bool char": (lambda: canonical_l(CHAIN, True),
                               r"^characteristic must be an integer, got True$"),
 }
+DEGREE = r"^degree must be an integer, got "
+NODE = r"^a magma node must be a pair, got "
+# two disjoint struts, and the path 1-2-3 whose middle vertex has valence 2
+STRUTS = JacobiTree([1, 2, 3, 4], [(1, 2), (3, 4)], {}, {1: 1, 2: 2, 3: 1, 4: 2}, 2)
+PATH = JacobiTree([1, 2, 3], [(1, 2), (2, 3)], {}, {1: 1, 3: 2}, 2)
+CASES.update({
+    "witt_total float n": (lambda: witt_total(2.0, 2), DEGREE),
+    "h_dim_total float n": (lambda: h_dim_total(2.0, 2), DEGREE),
+    "witt_total bool p": (lambda: witt_total(3, True), ALPHABET),
+    "witt_total float p": (lambda: witt_total(3, 2.5), ALPHABET),
+    "h_dim_total bool p": (lambda: h_dim_total(3, True), ALPHABET),
+    "witt_total n 0": (lambda: witt_total(0, 3), r"^degree must be >= 1, got 0$"),
+    "h_dim_total p 0": (lambda: h_dim_total(3, 0), r"^alphabet bound must be >= 1, got 0$"),
+    "rank_oracle bool p": (lambda: rank_oracle(3, True, "l"), ALPHABET),
+    "relation_span bool p": (lambda: relation_span(2, True, "l"), ALPHABET),
+    "relation_span float degree": (lambda: relation_span(2.0, 2, "l"), DEGREE),
+    "RelationSpan degree 0": (lambda: RelationSpan(0, 2, "prime"),
+                              r"^degree must be >= 1, got 0$"),
+    "dimension_report float p": (lambda: dimension_report("witt", n=3, p=2.5), ALPHABET),
+    "dimension_report bool n": (lambda: dimension_report("h", n=True, p=2), DEGREE),
+    "dimension_report p 0": (lambda: dimension_report("h", n=3, p=0),
+                             r"^alphabet bound must be >= 1, got 0$"),
+    "RelationSpan.reduce letter": (
+        lambda: relation_span(2, 2, "l").reduce(Chain(3, {(1, 3): 1})),
+        r"^letter 3 outside alphabet 1\.\.2$"),
+    "Chain int word": (lambda: Chain(2, {1: 1}), r"^a word must be a sequence of letters, got 1$"),
+    "Chain list of terms": (lambda: Chain(2, [((1,), 1)]),
+                            r"^chain terms must be a mapping of words to coefficients, got list$"),
+    "commutator_expand triple": (lambda: commutator_expand((1, 2, 1), 2), NODE),
+    "commutator_expand empty node": (lambda: commutator_expand((), 2), NODE),
+    "commutator_expand inner triple": (lambda: commutator_expand((1, (2, 1, 2)), 2), NODE),
+    "rho triple bead": (lambda: rho(SwingWord(tail=1, beads=((1, 2, 3),), head=2), 3), NODE),
+    "tree_chain disjoint struts": (lambda: tree_chain(STRUTS, 1, 2), r"^connected: "),
+    "tree_chain disjoint struts across": (lambda: tree_chain(STRUTS, 1, 3), r"^connected: "),
+    "tree_chain valence 2": (lambda: tree_chain(PATH, 1, 3), r"^valence: vertex 2 "),
+    "is_swing valence 2": (lambda: is_swing(Vertebrate(PATH, 3, 1)), r"^valence: vertex 2 "),
+    "read_swingword head not a leg": (
+        lambda: read_swingword(Vertebrate(JacobiTree((1,), [], {}, {1: 1}, 1), 2, 2)),
+        r"^head and tail must be legs$"),
+})
 for name, entry in {"enum_words": enum_words, "lie_basis": lie_basis, "h_basis": h_basis,
                     "evenrun_experiment": evenrun_experiment,
                     "witt_multidegree": witt_multidegree,

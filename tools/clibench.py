@@ -12,8 +12,9 @@ code; its sha256 is reported, and a mismatch fails the run. A run still
 going after KILL_AFTER_S seconds is killed.
 
 The command list holds the README commands, the four default verify suites,
-and the rank-oracle and enumeration steps of CI. Run from the repository
-root, with the parent commit's files in another directory:
+the rank-oracle and enumeration steps of CI, and one command whose time goes
+to rendering and printing a large result. Run from the repository root, with
+the parent commit's files in another directory:
 
     python3 tools/clibench.py PARENT_TREE CHANGE_TREE [--pairs 5]
         [--only NAME ...] [--json FRAGMENT.json]
@@ -68,6 +69,8 @@ COMMANDS: dict[str, list[str]] = {
     "ci_enumerate_lie_333": ["enumerate", "--space", "lie", "--multidegree", "3,3,3"],
     "ci_enumerate_lie_3322": ["enumerate", "--space", "lie", "--multidegree", "3,3,2,2"],
     "ci_rho_p3": ["verify", "--suite", "rho", "--p", "3"],
+    # the output path: eta of 1..18 has 131,072 terms, 6.7 MB of stdout
+    "output_eta_p18": ["eta", "-p", "18", "--chain", f"[{','.join(map(str, range(1, 19)))}]"],
 }
 
 
