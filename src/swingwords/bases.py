@@ -30,7 +30,12 @@ map ell on (Lie part) tensor (letters), an exact rank computation over Q
 by linearity their images span the image of ell, and by the Dynkin-Specht-Wever
 theorem each image is a rational multiple -(n - 1)/n of a bracket row, which
 needs no degree-n eta. That multiple can vanish mod q, so the certificate is
-computed over Q.
+computed over Q. Only its ranks are read, and a rank depends neither on the
+order of the rows nor on rows past full column rank: the ambient rows are
+inserted in word order, one letter at a time, each letter stopping at its
+number of columns, and the bracket rows sparsest first, stopping at theirs
+(`linalg.rank`). The greedy scans read which rows raise the rank, so they
+keep the lexicographic order and insert until the formula dimension.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from itertools import groupby
 
 from .chains import Multidegree, Word, accumulate, check_multidegree, word_count
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
-from .linalg import RowSpace
+from .linalg import RowSpace, rank
 from .moves import eta_word
 from .scalars import MAX_WORDS, InputError, ResourceLimitError
 
@@ -326,15 +331,26 @@ def ell_ranks(md: Multidegree) -> tuple[int, int]:
     and of its image under the re-attachment map ell, both over Q. A tensor
     u (x) b is stored as the word u.b.
 
-    - Spanning set: for each letter b of md, the ambient row eta(u) (x) b of
-      every word u of md - e_b is inserted, with no early break and no rank
-      taken from a formula. The words whose rows raised the rank span the
-      ambient space, so by linearity their images span the image of ell.
+    - Spanning set: for each letter b of md, the ambient rows eta(u) (x) b of
+      the words u of md - e_b are inserted in lexicographic order into one
+      row space per letter; rows of different letters share no column, since
+      their columns end in b. A letter's inserts stop once its rank equals
+      its number of columns, the Lyndon words of md - e_b: no rank can pass
+      the number of columns, so no later row could raise it, and the rank is
+      counted, not taken from a formula. The words whose rows raised the rank
+      span the ambient space, so by linearity their images span the image of
+      ell. The words beginning with the least letter of md - e_b usually
+      reach that rank, so most ambient rows are never built.
     - Bracket rows: eta sends a Lie element x of degree d to (-1)^(d-1) d x
       (Dynkin-Specht-Wever; Reutenauer, Free Lie Algebras, 1993, Thm 1.4)
       and eta(x.b) = b.eta(x) - eta(x).b, so ell(eta(u).b) = -(n - 1)/n *
       (b.eta(u) - eta(u).b) = -(n - 1)/n * eta(u.b): the bracket spans the
       line of the image row.
+    - Image rank: the rank of a set of rows does not depend on their order,
+      so the bracket rows of the words that raised an ambient rank are ranked
+      sparsest first, stopping at their number of columns, the Lyndon words
+      of md (`linalg.rank`). Sparse rows first keep the fill-in of the stored
+      rows low.
     - Lyndon columns: ambient rows and bracket rows are Lie elements, read at
       the Lyndon words of their multidegree only (see the module docstring):
       the same ranks, raised by the same rows, over about 1/n of the columns.
@@ -346,16 +362,20 @@ def ell_ranks(md: Multidegree) -> tuple[int, int]:
     multidegrees are the sums of theirs. Over F_q the multiple needs q to
     divide neither n nor n - 1, so the certificate stays over Q.
     """
-    ambient = RowSpace()
-    image = RowSpace()
+    ambient = 0
     brackets = lyndon_columns(md)
+    spanning = []
     for b, rest in _removals(md):
         tail = (b,)
         columns = lyndon_columns(rest, tail)
+        space = RowSpace()
         for u in enum_words(rest):
-            if ambient.insert(eta_at(u, columns)):
-                image.insert(eta_at(u + tail, brackets))
-    return ambient.rank, image.rank
+            if space.rank == len(columns):
+                break
+            if space.insert(eta_at(u, columns)):
+                spanning.append(eta_at(u + tail, brackets))
+        ambient += space.rank
+    return ambient, rank(spanning, columns=len(brackets))
 
 
 def _ell_kernel_dim(md: Multidegree) -> int:
@@ -516,16 +536,14 @@ def evenrun_experiment(m) -> dict:
     results = []
     for predicate in EVENRUN_VARIANTS:
         passing = [w for w in words if predicate.accepts(w)]
-        space = RowSpace()
-        for word in passing:
-            space.insert(eta_at(word, lyndon))
+        r = rank((eta_at(word, lyndon) for word in passing), columns=len(lyndon))
         results.append({
             "variant": predicate.name,
             "count": len(passing),
             "target_dimension": target,
-            "rank": space.rank,
-            "independent": space.rank == len(passing),
-            "spanning": space.rank == target,
-            "matches_dimension": len(passing) == target and space.rank == target,
+            "rank": r,
+            "independent": r == len(passing),
+            "spanning": r == target,
+            "matches_dimension": len(passing) == target and r == target,
         })
     return {"multidegree": list(md), "target_dimension": target, "variants": results}

@@ -23,9 +23,11 @@ divided once on the way out (`scalars.cleared`, `scalars.divided`).
 Each kind of caller input has one check here, applied once where the input
 enters the package: `check_word` for letters (a magma leaf and a tree label
 pass their own noun for the message), `check_alphabet` for the alphabet
-bound p, `check_degree` for a word length n, and `check_multidegree` for
-letter contents. An integer is an object of type int: `bool` is refused,
-since `True` is not the letter 1.
+bound p, `check_degree` for a word length n, `check_multidegree` for
+letter contents, and `check_integer` for any other integer argument, such
+as a fold index or a suite size, whose range its caller tests. An integer
+is an object of type int: `bool` is refused, since `True` is not the
+letter 1.
 The field's characteristic has its check in `scalars.check_characteristic`.
 """
 
@@ -52,10 +54,17 @@ def check_word(word: Iterable[int], p: int, what: str = "letter") -> Word:
     return w
 
 
-def _positive_int(x: int, what: str) -> int:
+def check_integer(x: int, what: str) -> int:
+    """An integer argument such as an index or a size, refused unless it is
+    an int (so not a bool or a float); `what` names it in the message. The
+    caller then tests its range, with a message of its own."""
     if type(x) is not int:
         raise InputError(f"{what} must be an integer, got {x!r}")
-    if x < 1:
+    return x
+
+
+def _positive_int(x: int, what: str) -> int:
+    if check_integer(x, what) < 1:
         raise InputError(f"{what} must be >= 1, got {x}")
     return x
 

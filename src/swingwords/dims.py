@@ -10,7 +10,8 @@ import sys
 from dataclasses import dataclass, field
 from math import gcd
 
-from .chains import Multidegree, check_alphabet, check_degree, check_multidegree, word_count
+from .chains import (Multidegree, check_alphabet, check_degree, check_integer,
+                     check_multidegree, word_count)
 from .quotients import Family, relation_span
 from .scalars import InputError, ResourceLimitError
 
@@ -35,7 +36,7 @@ def _prime_factors(n: int) -> dict[int, int]:
 
 def mobius(d: int) -> int:
     """1 on 1, (-1)^k on squarefree products of k primes, 0 otherwise."""
-    if d < 1:
+    if check_integer(d, "mobius argument") < 1:
         raise InputError(f"mobius is defined on positive integers, got {d}")
     factors = _prime_factors(d)
     if any(e > 1 for e in factors.values()):

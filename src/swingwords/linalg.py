@@ -122,6 +122,16 @@ def row_space(rows, char: int | None = None) -> RowSpace:
     return space
 
 
-def rank(rows, char: int | None = None) -> int:
-    return row_space(rows, char).rank
+def rank(rows, char: int | None = None, columns: int | None = None) -> int:
+    """The rank of some rows, which does not depend on their order. So they
+    are inserted sparsest first (fewest entries; a stable sort), which keeps
+    the fill-in of the stored rows low, and, when `columns` gives the number
+    of columns, the inserts stop once the rank reaches it: no rank can pass
+    the number of columns, so no later row can raise it."""
+    space = RowSpace(char)
+    for row in sorted(rows, key=len):
+        if space.rank == columns:
+            break
+        space.insert(row)
+    return space.rank
 

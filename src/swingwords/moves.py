@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Union
 
-from .chains import Chain, Word, accumulate, check_alphabet, check_word, word_count
+from .chains import Chain, Word, accumulate, check_alphabet, check_integer, check_word, word_count
 from .scalars import MAX_WORDS, InputError, check_work, cleared, divided
 
 MagmaTerm = Union[int, tuple]
@@ -126,6 +126,7 @@ def fold_l_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_l(n: int, chain: Chain) -> Chain:
+    check_integer(n, "fold index")
     return linear_extension(chain, lambda w: fold_l_word(n, w), bound=fold_bound(n))
 
 
@@ -153,6 +154,7 @@ def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_prime(n: int, chain: Chain) -> Chain:
+    check_integer(n, "fold index")
     return linear_extension(chain, lambda w: fold_prime_word(n, w), bound=fold_bound(n, True))
 
 

@@ -52,7 +52,7 @@ from math import gcd
 from typing import Iterable, Literal
 
 from .chains import (Chain, Multidegree, Word, accumulate, check_alphabet, check_degree,
-                     check_word, word_count, word_multidegree)
+                     check_integer, check_word, word_count, word_multidegree)
 from .linalg import RowSpace
 from .moves import (eta_bound, eta_word, fold_bound, fold_l, fold_l_word,
                     fold_prime_word, linear_extension, linear_image, shared_words)
@@ -439,7 +439,7 @@ def choose_head(word: Iterable[int], position: int, p: int | None = None) -> Cha
     w = tuple(word)
     if p is None:
         p = max(w, default=1)
-    if not 1 <= position <= len(w):
+    if not 1 <= check_integer(position, "position") <= len(w):
         raise InputError(f"position {position} out of range for a word of length {len(w)}")
     return fold_l(position, Chain.of_word(p, w))
 

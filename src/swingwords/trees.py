@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import Chain, Word, accumulate, check_alphabet, check_word
+from .chains import Chain, Word, accumulate, check_alphabet, check_integer, check_word
 from .moves import MagmaTerm, check_magma, expand_word, expansion_bound, magma_nodes
 from .quotients import PrimeCanonical, canonical_prime
 from .scalars import MAX_WORDS, InputError, check_work, field_coefficient
@@ -203,7 +203,7 @@ def as_swap(tree: JacobiTree, vertex: int) -> tuple[JacobiTree, int]:
 def ihx_expand(tree: JacobiTree, edge_index: int) -> list[tuple[JacobiTree, int]]:
     """Expand an internal edge into the two re-associated trees whose classes
     sum to the class of the input."""
-    if not 0 <= edge_index < len(tree.edges):
+    if not 0 <= check_integer(edge_index, "edge index") < len(tree.edges):
         raise InputError(f"no edge with index {edge_index}")
     u, v = tree.edges[edge_index]
     if u in tree.legs or v in tree.legs:
@@ -473,7 +473,7 @@ def enumerate_topologies(num_legs: int) -> list[JacobiTree]:
     legs (legs get vertex ids 1..L in order, all labeled 1), one fixed
     orientation each. Counts follow the double-factorial growth 1, 3, 15, ...
     """
-    if num_legs < 2:
+    if check_integer(num_legs, "number of legs") < 2:
         raise InputError("a tree shape needs at least 2 legs")
     shapes = [[(1, 2)]]
     for leaf in range(3, num_legs + 1):

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations, product, starmap
 
 from .bases import ell_ranks, enum_words, eta_at, lyndon_columns
-from .chains import Chain, Word
+from .chains import Chain, Word, check_integer
 from .dims import h_dim_total, rank_oracle, witt_total
-from .linalg import RowSpace, row_space
+from .linalg import RowSpace, rank
 from .moves import eta, eta_word, fold_l, linear_image
 from .quotients import (PrimeCanonical, canonical_l, canonical_prime, choose_head_by_letter,
                         g_map, relation_span)
@@ -269,8 +269,8 @@ def kernel_matches_relations(n: int, p: int) -> bool:
             return False
         words = enum_words(md)
         columns = lyndon_columns(md)
-        image = row_space(eta_at(w, columns) for w in words)
-        if block.rank + image.rank != len(words):
+        image = rank((eta_at(w, columns) for w in words), columns=len(columns))
+        if block.rank + image != len(words):
             return False
     return True
 
@@ -495,6 +495,8 @@ def run_suite(name: str, max_degree: int | None = None, p: int | None = None) ->
     suite, *minimums = SUITES[name]
     sizes = {"max_degree": max_degree, "p": p}
     for (size, value), minimum in zip(sizes.items(), minimums):
+        if value is not None:
+            check_integer(value, size)
         if None not in (value, minimum) and value < minimum:
             raise InputError(f"suite {name} needs {size} >= {minimum}; "
                              f"at {value} some of its checks run over no case")

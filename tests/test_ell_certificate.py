@@ -79,29 +79,56 @@ def test_ell_ranks_match_the_reference_on_the_exactness_streams(p):
         assert summed == ref_ell_ranks(pairs, p), (n, p)
 
 
-def test_certificate_rows_are_keyed_by_the_column_tuples(monkeypatch):
-    # every key of every ambient and bracket row is the very tuple that
-    # lyndon_columns made, so the rows of one scan share their keys
-    made, rows = [], []
+def _recorded_inserts(monkeypatch):
+    """Spy on every row inserted into any row space, `linalg.rank`'s too, and
+    on every column map that `bases` makes: returns the list of column maps
+    and the list of (space, rank before the insert, row) triples."""
+    made, inserts = [], []
+    insert = RowSpace.insert
 
     def recorded_columns(m, tail=()):
         columns = lyndon_columns(m, tail)
         made.append(columns)
         return columns
 
-    class RecordedSpace(swingwords.bases.RowSpace):
-        def insert(self, row):
-            rows.append((self, dict(row)))
-            return super().insert(row)
+    def recorded_insert(space, row):
+        inserts.append((space, space.rank, dict(row)))
+        return insert(space, row)
 
     monkeypatch.setattr(swingwords.bases, "lyndon_columns", recorded_columns)
-    monkeypatch.setattr(swingwords.bases, "RowSpace", RecordedSpace)
+    monkeypatch.setattr(RowSpace, "insert", recorded_insert)
+    return made, inserts
+
+
+def test_certificate_rows_are_keyed_by_the_column_tuples(monkeypatch):
+    # every key of every ambient and bracket row is the very tuple that
+    # lyndon_columns made, so the rows of one space share their keys
+    made, inserts = _recorded_inserts(monkeypatch)
     md = (2, 2, 1)
     assert _ell_kernel_dim(md) == h_dim_multidegree(md)
     keys = {id(w) for columns in made for w in columns.values()}
-    assert len({id(space) for space, _ in rows}) == 2  # the ambient and image spaces
-    assert any(row for _, row in rows)
-    assert all(id(w) in keys for _, row in rows for w in row)
+    # one ambient space per letter, and the image space inside linalg.rank
+    assert len({id(space) for space, _, _ in inserts}) == len(md) + 1
+    assert any(row for _, _, row in inserts)
+    assert all(id(w) in keys for _, _, row in inserts for w in row)
+
+
+@pytest.mark.parametrize("md", [(2, 2, 1), (3, 2, 2), (2, 2, 2, 1)])
+def test_no_row_is_inserted_into_a_space_at_full_column_rank(monkeypatch, md):
+    # each ambient space stops at its letter's number of columns and the
+    # image space at the Lyndon words of md; both stops are reached here
+    made, inserts = _recorded_inserts(monkeypatch)
+    _, image = ell_ranks(md)
+    width = {id(w): len(columns) for columns in made for w in columns.values()}
+    spaces = {}
+    for space, before, row in inserts:
+        for w in row:
+            assert before < width[id(w)], (md, before, row)
+            spaces[id(space)] = space, width[id(w)]
+    # every space ends at full column rank, so every stop was reached
+    assert len(spaces) == len(md) + 1
+    assert all(space.rank == columns for space, columns in spaces.values())
+    assert image == witt_multidegree(md)
 
 
 def test_bracket_rows_are_multiples_of_the_image_rows():

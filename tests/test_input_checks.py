@@ -1,6 +1,7 @@
 """Each kind of caller input has one check, applied where it enters: letters
 (`chains.check_word`), the alphabet bound (`chains.check_alphabet`), letter
-contents (`chains.check_multidegree`) and the residue characteristic
+contents (`chains.check_multidegree`), any other integer argument such as
+a fold index (`chains.check_integer`) and the residue characteristic
 (`scalars.check_characteristic`). An integer is an object of type int, so
 bool and float inputs are refused with an InputError naming the input. A
 word, a chain's terms, a magma node and a tree read for its swing word are
@@ -13,14 +14,16 @@ from hypothesis import given, strategies as st
 
 from swingwords.bases import enum_words, evenrun_experiment, h_basis, lie_basis
 from swingwords.chains import Chain
-from swingwords.dims import (dimension_report, h_dim_multidegree, h_dim_total, rank_oracle,
-                             witt_multidegree, witt_total)
-from swingwords.moves import commutator_expand
-from swingwords.quotients import RelationSpan, canonical_l, relation_span
+from swingwords.dims import (dimension_report, h_dim_multidegree, h_dim_total, mobius,
+                             rank_oracle, witt_multidegree, witt_total)
+from swingwords.moves import commutator_expand, fold_l, fold_prime
+from swingwords.quotients import RelationSpan, canonical_l, choose_head, relation_span
 from swingwords.scalars import InputError
 from swingwords.textio import parse_chain, render_chain
-from swingwords.trees import (JacobiTree, SwingWord, Vertebrate, enumerate_topologies, is_swing,
-                              read_swingword, relabel_legs, rho, tree_chain, validate)
+from swingwords.trees import (JacobiTree, SwingWord, Vertebrate, enumerate_topologies,
+                              ihx_expand, is_swing, read_swingword, relabel_legs, rho, tree_chain,
+                              validate)
+from swingwords.verify import run_suite
 
 LETTER = r"^letter True outside alphabet 1\.\.2$"
 LEAF = r"^magma leaf True outside alphabet 1\.\.2$"
@@ -110,6 +113,25 @@ CASES.update({
     "read_swingword head not a leg": (
         lambda: read_swingword(Vertebrate(JacobiTree((1,), [], {}, {1: 1}, 1), 2, 2)),
         r"^head and tail must be legs$"),
+    # integer arguments other than letters, degrees and alphabet bounds:
+    # `chains.check_integer` once where each enters, then its own range test
+    "fold_l bool index": (lambda: fold_l(True, CHAIN), r"^fold index must be an integer, got True$"),
+    "fold_l float index": (lambda: fold_l(2.0, CHAIN), r"^fold index must be an integer, got 2\.0$"),
+    "fold_l float index, zero chain": (lambda: fold_l(2.0, Chain.zero(2)),
+                                       r"^fold index must be an integer, got 2\.0$"),
+    "fold_prime float index": (lambda: fold_prime(2.0, CHAIN),
+                               r"^fold index must be an integer, got 2\.0$"),
+    "choose_head bool position": (lambda: choose_head((1, 2), True),
+                                  r"^position must be an integer, got True$"),
+    "mobius float": (lambda: mobius(2.0), r"^mobius argument must be an integer, got 2\.0$"),
+    "mobius bool": (lambda: mobius(True), r"^mobius argument must be an integer, got True$"),
+    "run_suite float max_degree": (lambda: run_suite("rho", 3.0),
+                                   r"^max_degree must be an integer, got 3\.0$"),
+    "run_suite bool p": (lambda: run_suite("maxlen", 1, True), r"^p must be an integer, got True$"),
+    "ihx_expand float edge": (lambda: ihx_expand(enumerate_topologies(4)[0], 0.0),
+                              r"^edge index must be an integer, got 0\.0$"),
+    "enumerate_topologies float legs": (lambda: enumerate_topologies(3.0),
+                                        r"^number of legs must be an integer, got 3\.0$"),
 })
 for name, entry in {"enum_words": enum_words, "lie_basis": lie_basis, "h_basis": h_basis,
                     "evenrun_experiment": evenrun_experiment,

@@ -1,7 +1,7 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swingwords.linalg import RowSpace, rank, row_space
 
@@ -128,3 +128,44 @@ def test_equality_matches_reference_across_orders(rows, rng, others):
     same = _ref_rref(rows)[0] == _ref_rref(others)[0]
     assert (row_space(rows) == row_space(others)) == same
 
+
+
+# `rank(rows, columns=c)` inserts sparsest first and stops at rank c; neither
+# may change the rank of rows whose columns are among c.
+
+@st.composite
+def rows_in_columns(draw):
+    c = draw(st.integers(1, 4))
+    entries = st.dictionaries(st.integers(0, c - 1), st.integers(-6, 6), max_size=c)
+    return c, draw(st.lists(entries, max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_in_columns(), st.sampled_from([None, 5]))
+@example((3, []), None)  # zero rows
+@example((2, [{0: 1, 1: 2}, {0: 1, 1: 2}, {0: 1, 1: 2}]), None)  # duplicate rows
+@example((4, [{0: 1}, {2: 3, 3: 1}]), 5)  # fewer rows than columns
+@example((2, [{0: 1, 1: 1}, {0: 1, 1: -1}]), None)  # rank exactly c over Q...
+@example((2, [{0: 1, 1: 1}, {0: 1, 1: -1}, {1: 5}]), 5)  # ... and over F_5
+@example((3, [{0: 2, 1: 5}, {1: 1}, {0: 1, 1: 1, 2: 1}, {2: 5}, {0: 1}]), 5)
+def test_rank_capped_at_the_column_count_is_the_rank(case, char):
+    c, rows = case
+    assert rank(rows, char, columns=c) == rank(rows, char)
+
+
+def test_rank_inserts_sparsest_first_and_stops_at_full_column_rank(monkeypatch):
+    inserted = []
+    insert = RowSpace.insert
+
+    def recorded(space, row):
+        inserted.append(dict(row))
+        return insert(space, row)
+
+    monkeypatch.setattr(RowSpace, "insert", recorded)
+    rows = [{0: 1, 1: 1}, {0: 2}, {0: 1, 1: 5}, {1: 3}, {1: 1}]
+    assert rank(rows, columns=2) == 2
+    # the one-entry rows come first, in their order, and once {0: 2} and
+    # {1: 3} fill both columns no row is inserted
+    assert inserted == [{0: 2}, {1: 3}]
+    inserted.clear()
+    assert rank(rows) == 2 and len(inserted) == len(rows)

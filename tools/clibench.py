@@ -67,6 +67,7 @@ COMMANDS: dict[str, list[str]] = {
     "ci_oracle_witt_9_3": ["dims", "witt", "--n", "9", "--p", "3", "--oracle"],
     "ci_oracle_h_9_3": ["dims", "h", "--n", "9", "--p", "3", "--oracle"],
     "ci_enumerate_lie_333": ["enumerate", "--space", "lie", "--multidegree", "3,3,3"],
+    "ci_enumerate_h_443": ["enumerate", "--space", "h", "--multidegree", "4,4,3"],
     "ci_enumerate_lie_3322": ["enumerate", "--space", "lie", "--multidegree", "3,3,2,2"],
     "ci_rho_p3": ["verify", "--suite", "rho", "--p", "3"],
     # the output path: eta of 1..18 has 131,072 terms, 6.7 MB of stdout
