@@ -35,7 +35,8 @@ order of the rows nor on rows past full column rank: the ambient rows are
 inserted in word order, one letter at a time, each letter stopping at its
 number of columns, and the bracket rows sparsest first, stopping at theirs
 (`linalg.rank`). The greedy scans read which rows raise the rank, so they
-keep the lexicographic order and insert until the formula dimension.
+keep the lexicographic order and insert until the formula dimension. Both are
+the one scan `linalg.independent`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import groupby
 
 from .chains import Multidegree, Word, accumulate, check_multidegree, word_count
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
-from .linalg import RowSpace, rank
+from .linalg import independent, rank
 from .moves import eta_word
 from .scalars import MAX_WORDS, InputError, ResourceLimitError
 
@@ -277,13 +278,7 @@ class BasisSet:
 def _greedy(words: list[Word], target: int, row) -> list[Word]:
     """The words, in order, whose rows raise the rank, up to the formula
     dimension `target`; a count that disagrees with the formula is refused."""
-    space = RowSpace()
-    chosen: list[Word] = []
-    for word in words:
-        if space.rank == target:
-            break
-        if space.insert(row(word)):
-            chosen.append(word)
+    chosen = [words[i] for i in independent(map(row, words), target)]
     if len(chosen) != target:
         raise ArithmeticError(
             f"basis selection found {len(chosen)} words, formula says {target}")
@@ -333,14 +328,15 @@ def ell_ranks(md: Multidegree) -> tuple[int, int]:
 
     - Spanning set: for each letter b of md, the ambient rows eta(u) (x) b of
       the words u of md - e_b are inserted in lexicographic order into one
-      row space per letter; rows of different letters share no column, since
-      their columns end in b. A letter's inserts stop once its rank equals
-      its number of columns, the Lyndon words of md - e_b: no rank can pass
-      the number of columns, so no later row could raise it, and the rank is
-      counted, not taken from a formula. The words whose rows raised the rank
-      span the ambient space, so by linearity their images span the image of
-      ell. The words beginning with the least letter of md - e_b usually
-      reach that rank, so most ambient rows are never built.
+      row space per letter (`linalg.independent`); rows of different letters
+      share no column, since their columns end in b. A letter's inserts stop
+      once its rank equals its number of columns, the Lyndon words of
+      md - e_b: no rank can pass the number of columns, so no later row could
+      raise it, and the rank is counted, not taken from a formula. The words
+      whose rows raised the rank span the ambient space, so by linearity
+      their images span the image of ell. The words beginning with the least
+      letter of md - e_b usually reach that rank, so most ambient rows are
+      never built.
     - Bracket rows: eta sends a Lie element x of degree d to (-1)^(d-1) d x
       (Dynkin-Specht-Wever; Reutenauer, Free Lie Algebras, 1993, Thm 1.4)
       and eta(x.b) = b.eta(x) - eta(x).b, so ell(eta(u).b) = -(n - 1)/n *
@@ -368,13 +364,10 @@ def ell_ranks(md: Multidegree) -> tuple[int, int]:
     for b, rest in _removals(md):
         tail = (b,)
         columns = lyndon_columns(rest, tail)
-        space = RowSpace()
-        for u in enum_words(rest):
-            if space.rank == len(columns):
-                break
-            if space.insert(eta_at(u, columns)):
-                spanning.append(eta_at(u + tail, brackets))
-        ambient += space.rank
+        words = enum_words(rest)
+        raised = independent((eta_at(u, columns) for u in words), len(columns))
+        spanning += (eta_at(words[i] + tail, brackets) for i in raised)
+        ambient += len(raised)
     return ambient, rank(spanning, columns=len(brackets))
 
 

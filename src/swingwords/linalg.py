@@ -16,10 +16,17 @@ with those properties. Over F_q each stored row has leading entry 1.
 Invariant: every stored row is zero at every pivot column but its own. So
 clearing one pivot column of a row never changes its entry at another, and
 `reduce` clears each pivot column the row has in one pass.
+
+Every rank the package reads comes from one scan, `independent`: rows are
+inserted in the order given until the rank reaches a limit, and the indices
+of those that raised it are returned. The greedy bases keep their word order
+and read the indices; `rank` inserts sparsest first and reads their number.
+Only the relation spans keep a `RowSpace` of their own, to reduce against.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd
 
 from .scalars import cleared, divided
@@ -122,16 +129,26 @@ def row_space(rows, char: int | None = None) -> RowSpace:
     return space
 
 
+def independent(rows, limit: int | None = None, char: int | None = None) -> list[int]:
+    """The indices, in order, of the rows that raise the rank of the rows
+    before them, inserting until the rank reaches `limit`. The limit is
+    checked before each row is drawn, so a generator builds no row past the
+    stop. This is the one insert-until-full scan: the greedy bases read its
+    indices, `rank` their number."""
+    space = RowSpace(char)
+    raised: list[int] = []
+    rows = iter(rows)
+    for i in count():
+        if space.rank == limit or (row := next(rows, None)) is None:
+            return raised
+        if space.insert(row):
+            raised.append(i)
+
+
 def rank(rows, char: int | None = None, columns: int | None = None) -> int:
     """The rank of some rows, which does not depend on their order. So they
     are inserted sparsest first (fewest entries; a stable sort), which keeps
     the fill-in of the stored rows low, and, when `columns` gives the number
     of columns, the inserts stop once the rank reaches it: no rank can pass
     the number of columns, so no later row can raise it."""
-    space = RowSpace(char)
-    for row in sorted(rows, key=len):
-        if space.rank == columns:
-            break
-        space.insert(row)
-    return space.rank
-
+    return len(independent(sorted(rows, key=len), columns, char))

@@ -59,12 +59,10 @@ def shared_words(terms: dict[Word, object]) -> dict[Word, object]:
     return {share(w, w): c for w, c in terms.items()}
 
 
-def eta_bound(n: int, word: Word | None = None) -> int:
-    """The most terms eta builds for a word of length n: 2^(n-1), and given
-    the word, at most one per word with its letters (`expansion_bound`)."""
-    if n == 0:
-        return 0
-    return 1 << (n - 1) if word is None else expansion_bound(word)
+def eta_bound(word: Word) -> int:
+    """The most terms eta builds for a word: 2^(n-1) at length n, and at most
+    one per word with its letters (`expansion_bound`)."""
+    return expansion_bound(word) if word else 0
 
 
 def linear_image(terms: dict[Word, int], word_map, bound=None) -> dict[Word, int]:
@@ -73,17 +71,21 @@ def linear_image(terms: dict[Word, int], word_map, bound=None) -> dict[Word, int
     added in place, scaled by its coefficient (`accumulate`). The terms'
     coefficients are nonzero, as `cleared` leaves them.
 
-    With `bound`, the most terms the map builds for a word of length n
-    (`bound(n)`, increasing in n) or for one word (`bound(n, word)`), a chain
-    whose words' bounds sum past MAX_WORDS is refused before any word is
-    mapped. The sum is taken only when the number of words times the bound
-    of the longest length passes MAX_WORDS. A single word is left to the
-    word map, which refuses it past the same bound.
+    With `bound`, the most terms the map builds for one word (`bound(word)`),
+    a chain whose words' bounds sum past MAX_WORDS is refused before any word
+    is mapped. The sum is taken only when the number of words times n 2^n,
+    with n the length of the longest word, passes MAX_WORDS. That is valid
+    for every map here, since none builds more than n 2^n terms for a word
+    of length n: eta builds at most 2^(n-1), a fold or g' at most 2^(n-2)
+    (a fold 1 where it is the identity or reverses the word) and the g-image
+    at most n 2^(n-2). So the sum, when it passes MAX_WORDS, is always taken.
+    A single word is left to the word map, which refuses it past the same
+    bound.
     """
     if bound is not None and len(terms) > 1:
-        if len(terms) * bound(max(map(len, terms))) > MAX_WORDS:
-            check_work(sum(bound(len(w), w) for w in terms),
-                       f"the image of a chain of {len(terms)} words")
+        n = max(map(len, terms))
+        if len(terms) * n << n > MAX_WORDS:
+            check_work(sum(map(bound, terms)), f"the image of a chain of {len(terms)} words")
     items = iter(terms.items())
     first = next(items, None)
     if first is None:
@@ -115,8 +117,6 @@ def fold_l_word(n: int, word: Word) -> dict[Word, int]:
     For 2 <= n <= len(word) this is (-1)^(n-1) * a_n * eta(a_1..a_{n-1}) *
     (a_{n+1}..); for any other n the word is returned unchanged.
     """
-    if n < 1:
-        raise InputError(f"fold index must be positive, got {n}")
     if not 2 <= n <= len(word):
         return {word: 1}
     sign = 1 if (n - 1) % 2 == 0 else -1
@@ -126,7 +126,8 @@ def fold_l_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_l(n: int, chain: Chain) -> Chain:
-    check_integer(n, "fold index")
+    if check_integer(n, "fold index") < 1:
+        raise InputError(f"fold index must be positive, got {n}")
     return linear_extension(chain, lambda w: fold_l_word(n, w), bound=fold_bound(n))
 
 
@@ -134,17 +135,14 @@ def fold_bound(k: int, reverses: bool = False):
     """The bound (see `linear_image`) of the fold at index k: eta of the first
     k - 1 letters, and one term where the fold is the identity or, for the
     primed fold, reverses the word."""
-    def bound(n: int, word: Word | None = None) -> int:
-        if not 2 <= k <= n or (reverses and k == n):
-            return 1
-        return eta_bound(k - 1, None if word is None else word[:k - 1])
+    def bound(word: Word) -> int:
+        n = len(word)
+        return 1 if not 2 <= k <= n or (reverses and k == n) else eta_bound(word[:k - 1])
     return bound
 
 
 def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
     """The primed fold move: kills single letters, reverses at the top index."""
-    if n < 1:
-        raise InputError(f"fold index must be positive, got {n}")
     if len(word) == 1:
         return {}
     if n == len(word) and n > 1:
@@ -154,7 +152,8 @@ def fold_prime_word(n: int, word: Word) -> dict[Word, int]:
 
 
 def fold_prime(n: int, chain: Chain) -> Chain:
-    check_integer(n, "fold index")
+    if check_integer(n, "fold index") < 1:
+        raise InputError(f"fold index must be positive, got {n}")
     return linear_extension(chain, lambda w: fold_prime_word(n, w), bound=fold_bound(n, True))
 
 

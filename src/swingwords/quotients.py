@@ -359,7 +359,7 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     if n == 0:
         raise InputError("the empty word has no tensor image")
     if n > 1 and n << (n - 2) > MAX_WORDS:
-        check_work(_g_image_bound(n, word), f"the g-image of a degree-{n} word")
+        check_work(_g_image_bound(word), f"the g-image of a degree-{n} word")
     terms = [(v + word[:1], d) for v, d in eta_word(word[1:][::-1]).items()]
     for k in range(2, n):
         a = word[k - 1:k]
@@ -377,13 +377,13 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     return out
 
 
-def _g_image_bound(n: int, word: Word | None = None) -> int:
-    """The most terms `_g_image_scaled` builds for a word of length n:
-    n 2^(n-2), and given the word, at most 2(n - 1) per word with its letters."""
+def _g_image_bound(word: Word) -> int:
+    """The most terms `_g_image_scaled` builds for a word: n 2^(n-2) at
+    length n, and at most 2(n - 1) per word with its letters."""
+    n = len(word)
     if n < 2:
         return 0
-    bound = n << (n - 2)
-    return bound if word is None else min(bound, 2 * (n - 1) * word_count(Counter(word).values()))
+    return min(n << (n - 2), 2 * (n - 1) * word_count(Counter(word).values()))
 
 
 def _tensor_degree(chain: Chain) -> int:
@@ -402,9 +402,9 @@ def g_prime_map(chain: Chain) -> Chain:
                             bound=_g_prime_bound)
 
 
-def _g_prime_bound(n: int, word: Word | None = None) -> int:
+def _g_prime_bound(word: Word) -> int:
     """The bound (see `linear_image`) of g': eta of all but the last letter."""
-    return eta_bound(n - 1, None if word is None else word[:-1])
+    return eta_bound(word[:-1])
 
 
 def g_map(chain: Chain) -> Chain:
@@ -458,9 +458,9 @@ def choose_head_by_letter(chain: Chain, letter: int) -> Chain:
                 "head choice needs a unique occurrence")
         return fold_l_word(positions[0], word)
 
-    def bound(n: int, word: Word | None = None) -> int:
-        # the fold at the letter's position; by length alone, the fold at the
-        # top index, which bounds every position
-        k = n if word is None or letter not in word else word.index(letter) + 1
-        return fold_bound(k)(n, word)
+    def bound(word: Word) -> int:
+        # the fold at the letter's position; for a word without the letter,
+        # which `head_first` refuses, the fold at the top index
+        k = word.index(letter) + 1 if letter in word else len(word)
+        return fold_bound(k)(word)
     return linear_extension(chain, head_first, bound=bound)

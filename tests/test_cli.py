@@ -489,6 +489,13 @@ def test_fold_index_below_one_errors_without_note(capsys, kind):
     assert err == "error: fold index must be positive, got 0\n"
 
 
+@pytest.mark.parametrize("kind", ["l", "prime"])
+def test_fold_index_below_one_errors_on_the_zero_chain_without_note(capsys, kind):
+    code, out, err = run(capsys, "fold", "--kind", kind, "--n", "0", "--chain", "0", "-p", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: fold index must be positive, got 0\n"
+
+
 def _comb_tree(depth: int) -> JacobiTree:
     """Tail leg 1, head leg 2 and column vertex 3, carrying one bead that is a
     comb `depth` vertices deep: vertex 4 + 2k has a leaf and the next vertex."""

@@ -2,7 +2,7 @@
 
 `quotients._g_image_scaled` computes (n - 1) * g(w) by the right-nested
 bracket recursion in its docstring, one bracket [E_{k-1}, Z_k] per position.
-The reference below is the earlier implementation: it splits w, then splits
+The reference (`g_image_reference`) is the earlier implementation: it splits w, then splits
 every term of fold_l(n, w), running eta on the prefix of each, which costs
 4^(n-2) dict updates at degree n. Both must give the same integer vector on
 every word, and both must refuse the empty word.
@@ -13,24 +13,9 @@ from itertools import product
 
 import pytest
 
-from swingwords.chains import accumulate
-from swingwords.moves import eta_word, fold_l_word
+from g_image_reference import ref_g_image_scaled
 from swingwords.quotients import _g_image_scaled
 from swingwords.scalars import InputError
-
-
-def _ref_split(word, coeff):
-    last = word[-1:]
-    return ((u + last, coeff * c) for u, c in eta_word(word[:-1]).items())
-
-
-def ref_g_image_scaled(word):
-    n = len(word)
-    sign = 1 if n % 2 == 0 else -1
-    out = accumulate(_ref_split(word, sign))
-    for w, c in fold_l_word(n, word).items():
-        accumulate(_ref_split(w, -sign * c), out)
-    return out
 
 
 def _assert_same(words):

@@ -121,6 +121,12 @@ CASES.update({
                                        r"^fold index must be an integer, got 2\.0$"),
     "fold_prime float index": (lambda: fold_prime(2.0, CHAIN),
                                r"^fold index must be an integer, got 2\.0$"),
+    # the range of the fold index is checked once per call, so a chain with
+    # no term is refused too
+    "fold_l index 0, zero chain": (lambda: fold_l(0, Chain.zero(2)),
+                                   r"^fold index must be positive, got 0$"),
+    "fold_prime index -3, zero chain": (lambda: fold_prime(-3, Chain.zero(2)),
+                                        r"^fold index must be positive, got -3$"),
     "choose_head bool position": (lambda: choose_head((1, 2), True),
                                   r"^position must be an integer, got True$"),
     "mobius float": (lambda: mobius(2.0), r"^mobius argument must be an integer, got 2\.0$"),

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from g_image_reference import ref_g_image_scaled as _ref_g_image_scaled, ref_split as _ref_split
 from swingwords.chains import Chain, accumulate
 from swingwords.moves import eta, eta_word, fold_l, fold_l_word, fold_prime, fold_prime_word
 from swingwords.quotients import (LieCanonical, PrimeCanonical, canonical_l, canonical_prime,
@@ -58,20 +59,6 @@ def ref_canonical_l(chain, char=None):
     if char is not None:
         image = Chain(chain.p, image.terms, char)
     return LieCanonical(degree, image.scale(Fraction(1, signed)))
-
-
-def _ref_split(word, coeff):
-    last = word[-1:]
-    return ((u + last, coeff * c) for u, c in eta_word(word[:-1]).items())
-
-
-def _ref_g_image_scaled(word):
-    n = len(word)
-    sign = 1 if n % 2 == 0 else -1
-    out = accumulate(_ref_split(word, sign))
-    for w, c in fold_l_word(n, word).items():
-        accumulate(_ref_split(w, -sign * c), out)
-    return out
 
 
 def _ref_split_scale(chain):

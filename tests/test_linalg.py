@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from swingwords.linalg import RowSpace, rank, row_space
+from swingwords.linalg import RowSpace, independent, rank, row_space
 
 
 def test_rank_and_reduce():
@@ -169,3 +169,35 @@ def test_rank_inserts_sparsest_first_and_stops_at_full_column_rank(monkeypatch):
     assert inserted == [{0: 2}, {1: 3}]
     inserted.clear()
     assert rank(rows) == 2 and len(inserted) == len(rows)
+
+
+# `independent(rows, limit)` is the plain insert loop's raising indices, cut
+# where the rank first reaches `limit`, and draws no row past that point.
+
+small_rows = st.lists(st.dictionaries(st.integers(0, 3), st.integers(-6, 6), max_size=4),
+                      max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rows, st.one_of(st.none(), st.integers(0, 5)), st.sampled_from([None, 5]))
+@example([{0: 1}, {1: 2}], 0, None)  # a limit of 0 draws no row
+@example([{}, {0: 1}], 0, 5)
+@example([{0: 1}, {0: 2}, {1: 1}, {0: 1}], None, None)  # dependent rows are skipped
+@example([{0: 1}, {0: 6}, {1: 5}, {1: 1}, {2: 1}], 2, 5)  # 6 = 1 and 5 = 0 mod 5
+def test_independent_is_the_insert_loop_cut_at_the_limit(rows, limit, char):
+    space = RowSpace(char)
+    raising = [i for i, row in enumerate(rows) if space.insert(row)]
+    expected = raising if limit is None else raising[:limit]
+    drawn = []
+
+    def generated():
+        for i, row in enumerate(rows):
+            drawn.append(i)
+            yield row
+
+    assert independent(generated(), limit, char) == expected
+    if limit is not None and len(expected) == limit:
+        # the stop: the last row drawn is the one that reached the limit
+        assert len(drawn) == (expected[-1] + 1 if expected else 0)
+    else:
+        assert len(drawn) == len(rows)

@@ -15,26 +15,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from swingwords.chains import Chain, accumulate
-from swingwords.moves import eta_word, fold_l_word, fold_prime, linear_extension, linear_image
+from g_image_reference import ref_g_image_scaled as _ref_g_image_scaled
+from swingwords.chains import Chain
+from swingwords.moves import fold_prime, linear_extension, linear_image
 from swingwords.quotients import PrimeCanonical, _g_image_scaled, canonical_prime
 from swingwords.textio import render_chain, render_tensor
 
 FIELDS = (None, 5, 7)
-
-
-def _ref_split(word, coeff):
-    last = word[-1:]
-    return ((u + last, coeff * c) for u, c in eta_word(word[:-1]).items())
-
-
-def _ref_g_image_scaled(word):
-    n = len(word)
-    sign = 1 if n % 2 == 0 else -1
-    out = accumulate(_ref_split(word, sign))
-    for w, c in fold_l_word(n, word).items():
-        accumulate(_ref_split(w, -sign * c), out)
-    return out
 
 
 def ref_image(chain):
