@@ -49,6 +49,7 @@ from .chains import Multidegree, Word, accumulate, check_multidegree, word_count
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import independent, rank
 from .moves import eta_word
+from .quotients import _g_orbit
 from .scalars import MAX_WORDS, InputError, ResourceLimitError
 
 
@@ -309,11 +310,20 @@ def h_basis(m) -> BasisSet:
     at the words l.b with l a Lyndon word of md - e_b only: that restriction
     is injective on Lie_{n-1} (x) V, one letter b at a time, so it raises the
     rank exactly when the full row would and the same words are chosen.
-    Each row is built at those columns only (`g_image_rows`)."""
+    Each row is built at those columns only (`g_image_rows`).
+
+    A row is built for the representative of each orbit (`quotients._g_orbit`)
+    only. Any other word gets an empty row: its image is 0, or its orbit's
+    least word has the same letters, so it comes earlier in the same block,
+    and its row is +- this one. That row raised the rank or was dependent on
+    earlier rows, so this one would not raise it, and the chosen words are
+    the same."""
     md = _word_block(m)
     target = h_dim_multidegree(md)
     # the words first: their bound is checked before the columns are indexed
-    chosen = _greedy(enum_words(md), target, g_image_rows(md))
+    words = enum_words(md)
+    row = g_image_rows(md)
+    chosen = _greedy(words, target, lambda word: row(word) if _g_orbit(word) == (word, 1) else {})
     certificate = {"rank": len(chosen), "target": target,
                    "ell_kernel_dim": _ell_kernel_dim(md)}
     if certificate["ell_kernel_dim"] != target:

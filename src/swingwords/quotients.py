@@ -31,7 +31,14 @@ bracket [eta(a_1..a_{k-1}), Z_k] per position k, where Z_k = eta(a_n..a_{k+1})
 is the right-nested bracket of the letters after a_k, both read from the eta
 memo. That is about n 2^(n-2) products in place of the 4^(n-2) of running g'
 on every word of fold_l(n, w); `_g_image_scaled` gives the formula and its
-derivation.
+derivation. g kills the primed relations, and two of them act on a single
+word: the fold at index 2 swaps the first two letters with sign -1, and the
+top fold reverses the word with sign (-1)^n. So g(w) is +-g of the least word
+of an orbit of at most 8, and 0 when a move of sign -1 fixes a word of the
+orbit (`_g_orbit`). `canonical_prime` moves each term to that representative
+before any image is built, so orbit-mates merge or cancel first and the
+memo of word images holds representatives only; `bases.h_basis` builds a
+row for representatives only.
 
 Both canonical forms clear a chain to integer terms over one scale, sum the
 memoized integer word images, and keep the sum as one kind of key
@@ -377,6 +384,54 @@ def _g_image_scaled(word: Word) -> dict[Word, int]:
     return out
 
 
+def _g_orbit(word: Word) -> tuple[Word, int] | None:
+    """(rep, sign) with g(word) = sign * g(rep) and rep the least word of the
+    orbit of word under the moves g kills, or None when g(word) = 0.
+
+    g kills every primed relation, g(fold'_k(w)) = g(w). Two of the moves act
+    on a single word a_1..a_n. For n >= 3 the fold at index 2, below the top,
+    is -a_2.a_1.a_3..a_n, so swapping the first two letters (s) costs a sign
+    -1; the top fold reverses (r) with sign (-1)^n, and t = r s r, swapping
+    the last two letters, costs -1. For n >= 4 s and t commute and r swaps
+    them: the orbit is {s^i t^j w} and their reversals, at most 8 words, and
+    the signs make a character of that group. Its least word either sorts the
+    first two and the last two letters, keeping the middle M (forward), or
+    is the reversal of that with both ends sorted again, t s r of forward
+    (backward), at sign (-1)^n times forward's. A move of sign -1 that fixes
+    a word gives g(w) = -g(w), so g(w) = 0, over Z and so mod every q: the
+    moves s when a_1 = a_2, t when a_{n-1} = a_n, and t s r when backward is
+    forward at odd n (every other move that fixes a word is one of those or
+    of sign +1). At n = 3 the three moves are the transpositions of S3 and
+    the sign is the permutation's: the image is 0 when a letter repeats, and
+    rep sorts the letters. At n = 2 the fold at index 2 is the top one, so
+    only r applies, with sign +1, and g(aa) = 2 aa. A single letter, or the
+    empty word, is its own orbit.
+    """
+    n = len(word)
+    if n < 3:
+        return min(word, word[::-1]), 1
+    if n == 3:
+        if len(set(word)) < 3:
+            return None
+        a, b, c = word
+        return tuple(sorted(word)), -1 if ((a > b) + (a > c) + (b > c)) % 2 else 1
+    x, y, z, u = word[0], word[1], word[-2], word[-1]
+    if x == y or z == u:
+        return None
+    sign = 1
+    if x > y:
+        x, y, sign = y, x, -sign
+    if z > u:
+        z, u, sign = u, z, -sign
+    forward = (x, y) + word[2:-2] + (z, u)
+    backward = (z, u) + word[-3:1:-1] + (x, y)
+    if backward < forward:
+        return backward, sign if n % 2 == 0 else -sign
+    if backward == forward and n % 2:
+        return None
+    return forward, sign
+
+
 def _g_image_bound(word: Word) -> int:
     """The most terms `_g_image_scaled` builds for a word: n 2^(n-2) at
     length n, and at most 2(n - 1) per word with its letters."""
@@ -418,13 +473,20 @@ def canonical_prime(chain: Chain) -> PrimeCanonical:
     """Canonical key in the primed quotient: zero below degree 2, else the
     g-image with canonicalized left factors, kept as integer terms over one
     scale (see PrimeCanonical). Applied to a tensor image it is the
-    re-attachment g_tilde into the primed quotient."""
+    re-attachment g_tilde into the primed quotient.
+
+    Each cleared term c w is first moved to sign * c rep (`_g_orbit`), and
+    dropped when the image of w is 0, so orbit-mates merge or cancel before
+    any image is built. The work bound counts the words actually imaged, and
+    the memo keeps representatives only."""
     degree = chain.degree()
     if degree is None or degree <= 1:
         return PrimeCanonical(degree or 0, Chain._make(chain.p, {}, chain.char))
     terms, scale = cleared(chain.terms, chain.char)
+    reps = accumulate((orbit[0], orbit[1] * c) for w, c in terms.items()
+                      if (orbit := _g_orbit(w)) is not None)
     return PrimeCanonical._scaled(degree, chain.p,
-                                  linear_image(terms, _g_image_scaled, _g_image_bound),
+                                  linear_image(reps, _g_image_scaled, _g_image_bound),
                                   scale * (degree - 1), chain.char)
 
 

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import swingwords.bases
 import swingwords.moves
 import swingwords.quotients
 from swingwords.bases import (EVENRUN_VARIANTS, SECTION4_LINES, RunPredicate, _removals,
@@ -15,7 +16,7 @@ from swingwords.chains import Chain
 from swingwords.dims import h_dim_multidegree, witt_multidegree
 from swingwords.linalg import RowSpace, rank
 from swingwords.moves import eta_word
-from swingwords.quotients import _g_image_scaled, canonical_prime
+from swingwords.quotients import _g_image_scaled, _g_orbit, canonical_prime
 from swingwords.scalars import InputError, ResourceLimitError
 
 
@@ -247,9 +248,36 @@ def test_lie_basis_matches_the_full_row_greedy():
 
 
 def test_h_basis_matches_the_full_row_greedy():
-    for md in SMALL_MULTIDEGREES + [(3, 3, 3)]:
+    # the reference ranks every word's full g-image; h_basis builds a row
+    # for orbit representatives only
+    for md in SMALL_MULTIDEGREES + [(1, 1), (1, 1, 1), (2, 1), (2, 2, 2, 2), (3, 3, 2), (3, 3, 3)]:
         expected = _full_row_greedy(md, _g_image_scaled, h_dim_multidegree(md))
         assert h_basis(md).words == expected, md
+
+
+def test_h_basis_builds_no_row_for_a_word_with_an_earlier_orbit_mate(monkeypatch):
+    built = []
+    original = swingwords.bases.g_image_rows
+
+    def spying(md):
+        row = original(md)
+
+        def spy(word):
+            built.append(word)
+            return row(word)
+        return spy
+    monkeypatch.setattr(swingwords.bases, "g_image_rows", spying)
+    for md in ((2, 2, 1), (2, 2, 2, 1), (3, 3, 2)):
+        built.clear()
+        chosen = h_basis(md).words
+        assert set(chosen) <= set(built)
+        assert all(_g_orbit(word) == (word, 1) for word in built), md
+        # the words the scan drew without building a row have an image of 0
+        # or an earlier orbit-mate
+        drawn = [w for w in enum_words(md) if w <= built[-1]]
+        skipped = [w for w in drawn if w not in set(built)]
+        assert skipped, md
+        assert all(_g_orbit(w) is None or _g_orbit(w)[0] < w for w in skipped), md
 
 
 def test_evenrun_ranks_match_the_full_rows():

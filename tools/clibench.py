@@ -69,6 +69,7 @@ COMMANDS: dict[str, list[str]] = {
     "ci_enumerate_lie_333": ["enumerate", "--space", "lie", "--multidegree", "3,3,3"],
     "ci_enumerate_h_443": ["enumerate", "--space", "h", "--multidegree", "4,4,3"],
     "ci_enumerate_lie_3322": ["enumerate", "--space", "lie", "--multidegree", "3,3,2,2"],
+    "ci_enumerate_h_3322": ["enumerate", "--space", "h", "--multidegree", "3,3,2,2"],
     "ci_rho_p3": ["verify", "--suite", "rho", "--p", "3"],
     # the output path: eta of 1..18 has 131,072 terms, 6.7 MB of stdout
     "output_eta_p18": ["eta", "-p", "18", "--chain", f"[{','.join(map(str, range(1, 19)))}]"],
