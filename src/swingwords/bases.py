@@ -45,7 +45,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
-from .chains import Multidegree, Word, accumulate, check_multidegree, word_count
+from .chains import (MULTIDEGREE_REFUSAL, Multidegree, Word, accumulate, check_multidegree,
+                     check_sequence, word_count)
 from .dims import h_dim_multidegree, h_dim_total, witt_multidegree
 from .linalg import independent, rank
 from .moves import eta_word
@@ -427,6 +428,7 @@ SECTION4_TOTAL = 5373540
 
 def pattern_assignments(pattern: tuple[int, ...], p: int = 9) -> int:
     """Ways to assign distinct letters from 1..p to the parts of a pattern."""
+    pattern = check_sequence(pattern, "a pattern must be a sequence of part sizes")
     if len(pattern) > p:
         raise InputError("pattern has more parts than letters")
     # the unused letters, then the letters of each part size
@@ -529,7 +531,7 @@ EVENRUN_VARIANTS: list[RunPredicate] = [
 def evenrun_experiment(m) -> dict:
     """Count predicate-passing two-letter words against the necklace number
     and rank-test their canonical forms. Reports matches; asserts nothing."""
-    md = tuple(m)
+    md = check_sequence(m, MULTIDEGREE_REFUSAL)
     if len(md) != 2:
         raise InputError("the even-run experiment is about two-letter words")
     md = _word_block(md)

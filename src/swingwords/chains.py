@@ -27,7 +27,9 @@ bound p, `check_degree` for a word length n, `check_multidegree` for
 letter contents, and `check_integer` for any other integer argument, such
 as a fold index or a suite size, whose range its caller tests. An integer
 is an object of type int: `bool` is refused, since `True` is not the
-letter 1.
+letter 1. Every sequence argument, a word, a content, a pattern or a list
+of leg labels, first passes the shape test `check_sequence`, so a
+non-iterable is refused with an InputError too.
 The field's characteristic has its check in `scalars.check_characteristic`.
 """
 
@@ -41,13 +43,22 @@ from .scalars import InputError, check_characteristic, field_coefficient
 Word = tuple[int, ...]
 Multidegree = tuple[int, ...]
 
+MULTIDEGREE_REFUSAL = "multidegree must be non-negative integers"
+
+
+def check_sequence(seq: Iterable, refusal: str = "a word must be a sequence of letters") -> tuple:
+    """The sequence as a tuple, refused with `refusal` (by default that of a
+    word) unless it is iterable."""
+    try:
+        return tuple(seq)
+    except TypeError:
+        raise InputError(f"{refusal}, got {seq!r}") from None
+
+
 def check_word(word: Iterable[int], p: int, what: str = "letter") -> Word:
     """The word as a tuple, refused unless each letter is an int of 1..p;
     `what` names a letter in the message."""
-    try:
-        w = tuple(word)
-    except TypeError:
-        raise InputError(f"a word must be a sequence of letters, got {word!r}") from None
+    w = check_sequence(word)
     for a in w:
         if type(a) is not int or not 1 <= a <= p:
             raise InputError(f"{what} {a!r} outside alphabet 1..{p}")
@@ -82,9 +93,9 @@ def check_degree(n: int) -> int:
 def check_multidegree(m: Iterable[int]) -> Multidegree:
     """The letter content as a tuple, refused unless it is nonempty and each
     entry is a non-negative int."""
-    md = tuple(m)
+    md = check_sequence(m, MULTIDEGREE_REFUSAL)
     if not md or any(type(x) is not int or x < 0 for x in md):
-        raise InputError(f"multidegree must be non-negative integers, got {m!r}")
+        raise InputError(f"{MULTIDEGREE_REFUSAL}, got {m!r}")
     return md
 
 
@@ -170,7 +181,7 @@ class Chain:
 
     @classmethod
     def of_word(cls, p: int, word: Iterable[int], coeff=1) -> "Chain":
-        return cls(p, {tuple(word): coeff})
+        return cls(p, {check_sequence(word): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -239,7 +250,7 @@ class Chain:
         return Chain._make(self.p, {w[::-1]: c for w, c in self.terms.items()}, self.char)
 
     def coefficient(self, word: Iterable[int]):
-        return self.terms.get(tuple(word), 0)
+        return self.terms.get(check_sequence(word), 0)
 
     def __eq__(self, other):
         if not isinstance(other, Chain):
@@ -265,4 +276,4 @@ def reverse(value):
     """Reverse a word, or a chain termwise."""
     if isinstance(value, Chain):
         return value.reverse()
-    return tuple(value)[::-1]
+    return check_sequence(value)[::-1]

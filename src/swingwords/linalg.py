@@ -17,27 +17,32 @@ Invariant: every stored row is zero at every pivot column but its own. So
 clearing one pivot column of a row never changes its entry at another, and
 `reduce` clears each pivot column the row has in one pass.
 
-Every rank the package reads comes from one scan, `independent`: rows are
-inserted in the order given until the rank reaches a limit, and the indices
-of those that raised it are returned. The greedy bases keep their word order
-and read the indices; `rank` inserts sparsest first and reads their number.
-Only the relation spans keep a `RowSpace` of their own, to reduce against.
+Every rank the package reads is over Q and comes from one scan,
+`independent`: rows are inserted in the order given until the rank reaches a
+limit, and the indices of those that raised it are returned. The greedy bases
+keep their word order and read the indices; `rank` inserts sparsest first
+and reads their number. Only the relation spans keep a `RowSpace` of their
+own, to reduce against, and only there is the field a residue field: each
+span's `RowSpace(char)`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import count
 from math import gcd
 
 from .scalars import cleared, divided
 
 
+@dataclass
 class RowSpace:
-    """An incrementally built row space in (scaled) reduced echelon form."""
+    """An incrementally built row space in (scaled) reduced echelon form:
+    the stored row of each pivot column, over Q or over F_char. Two spaces
+    are equal when their fields and their stored rows are."""
 
-    def __init__(self, char: int | None = None):
-        self.char = char
-        self.pivots: dict[object, dict] = {}
+    char: int | None = None
+    pivots: dict[object, dict] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -79,9 +84,6 @@ class RowSpace:
         """Normal form of a row modulo the stored space."""
         return divided(*self._reduced(row), self.char)
 
-    def contains(self, row: dict) -> bool:
-        return not self._reduced(row)[0]
-
     def insert(self, row: dict) -> bool:
         """Add a row; returns True when it enlarged the space."""
         new, _ = self._reduced(row)
@@ -114,28 +116,14 @@ class RowSpace:
         return [divided(dict(self.pivots[c]), self.pivots[c][c], self.char)
                 for c in sorted(self.pivots)]
 
-    def __eq__(self, other):
-        if not isinstance(other, RowSpace):
-            return NotImplemented
-        if self.char != other.char or set(self.pivots) != set(other.pivots):
-            return False
-        return all(self.pivots[c] == other.pivots[c] for c in self.pivots)
 
-
-def row_space(rows, char: int | None = None) -> RowSpace:
-    space = RowSpace(char)
-    for row in rows:
-        space.insert(row)
-    return space
-
-
-def independent(rows, limit: int | None = None, char: int | None = None) -> list[int]:
-    """The indices, in order, of the rows that raise the rank of the rows
-    before them, inserting until the rank reaches `limit`. The limit is
+def independent(rows, limit: int | None = None) -> list[int]:
+    """The indices, in order, of the rows that raise the rank over Q of the
+    rows before them, inserting until the rank reaches `limit`. The limit is
     checked before each row is drawn, so a generator builds no row past the
     stop. This is the one insert-until-full scan: the greedy bases read its
     indices, `rank` their number."""
-    space = RowSpace(char)
+    space = RowSpace()
     raised: list[int] = []
     rows = iter(rows)
     for i in count():
@@ -145,10 +133,10 @@ def independent(rows, limit: int | None = None, char: int | None = None) -> list
             raised.append(i)
 
 
-def rank(rows, char: int | None = None, columns: int | None = None) -> int:
-    """The rank of some rows, which does not depend on their order. So they
-    are inserted sparsest first (fewest entries; a stable sort), which keeps
-    the fill-in of the stored rows low, and, when `columns` gives the number
-    of columns, the inserts stop once the rank reaches it: no rank can pass
-    the number of columns, so no later row can raise it."""
-    return len(independent(sorted(rows, key=len), columns, char))
+def rank(rows, columns: int | None = None) -> int:
+    """The rank over Q of some rows, which does not depend on their order.
+    So they are inserted sparsest first (fewest entries; a stable sort), which
+    keeps the fill-in of the stored rows low, and, when `columns` gives the
+    number of columns, the inserts stop once the rank reaches it: no rank can
+    pass the number of columns, so no later row can raise it."""
+    return len(independent(sorted(rows, key=len), columns))

@@ -59,7 +59,7 @@ from math import gcd
 from typing import Iterable, Literal
 
 from .chains import (Chain, Multidegree, Word, accumulate, check_alphabet, check_degree,
-                     check_integer, check_word, word_count, word_multidegree)
+                     check_integer, check_sequence, check_word, word_count, word_multidegree)
 from .linalg import RowSpace
 from .moves import (eta_bound, eta_word, fold_bound, fold_l, fold_l_word,
                     fold_prime_word, linear_extension, linear_image, shared_words)
@@ -498,7 +498,7 @@ g_tilde = canonical_prime
 def choose_head(word: Iterable[int], position: int, p: int | None = None) -> Chain:
     """Re-express a word with the letter at the given position moved to the
     front by the appropriate fold move; position 1 is the identity."""
-    w = tuple(word)
+    w = check_sequence(word)
     if p is None:
         p = max(w, default=1)
     if not 1 <= check_integer(position, "position") <= len(w):

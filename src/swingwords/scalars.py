@@ -97,11 +97,9 @@ def make_coefficient(numerator: int, denominator: int = 1, char: int | None = No
     return residue(f, char)
 
 
-def invert_integer(n: int, char: int | None = None):
-    """Inverse of a nonzero integer in the field: a Fraction over Q, a residue
-    over F_q, raising ZeroDivisionError when char divides n."""
-    if char is None:
-        return Fraction(1, n)
+def invert_integer(n: int, char: int) -> int:
+    """Inverse of an integer in F_char, raising ZeroDivisionError when char
+    divides n."""
     if n % char == 0:
         raise ZeroDivisionError(f"division by zero mod {char}")
     return pow(n, -1, char)

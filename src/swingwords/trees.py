@@ -40,7 +40,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import Chain, Word, accumulate, check_alphabet, check_integer, check_word
+from .chains import (Chain, Word, accumulate, check_alphabet, check_integer, check_sequence,
+                     check_word)
 from .moves import MagmaTerm, check_magma, expand_word, expansion_bound, magma_nodes
 from .quotients import PrimeCanonical, canonical_prime
 from .scalars import MAX_WORDS, InputError, check_work, field_coefficient
@@ -494,7 +495,7 @@ def relabel_legs(tree: JacobiTree, letters, p: int) -> JacobiTree:
     """Assign the given letters to the legs in stored vertex order. The
     letters and p are checked, so the result keeps the input's `_valid` flag."""
     legs = tree.leg_vertices()
-    letters = tuple(letters)
+    letters = check_sequence(letters, "leg labels must be a sequence of letters")
     if len(letters) != len(legs):
         raise InputError(f"need {len(legs)} letters, got {len(letters)}")
     check_word(letters, p, "label: letter")

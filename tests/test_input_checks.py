@@ -5,15 +5,17 @@ a fold index (`chains.check_integer`) and the residue characteristic
 (`scalars.check_characteristic`). An integer is an object of type int, so
 bool and float inputs are refused with an InputError naming the input. A
 word, a chain's terms, a magma node and a tree read for its swing word are
-refused by shape, also with an InputError."""
+refused by shape, also with an InputError; so is a non-iterable where a
+sequence belongs (`chains.check_sequence`)."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from swingwords.bases import enum_words, evenrun_experiment, h_basis, lie_basis
-from swingwords.chains import Chain
+from swingwords.bases import (enum_words, evenrun_experiment, h_basis, lie_basis, lyndon_columns,
+                              pattern_assignments)
+from swingwords.chains import Chain, reverse
 from swingwords.dims import (dimension_report, h_dim_multidegree, h_dim_total, mobius,
                              rank_oracle, witt_multidegree, witt_total)
 from swingwords.moves import commutator_expand, fold_l, fold_prime
@@ -143,8 +145,24 @@ for name, entry in {"enum_words": enum_words, "lie_basis": lie_basis, "h_basis":
                     "evenrun_experiment": evenrun_experiment,
                     "witt_multidegree": witt_multidegree,
                     "h_dim_multidegree": h_dim_multidegree}.items():
-    for md in ((True, 1), (1, True), (1.0, 1), (1.5, 1)):
+    for md in ((True, 1), (1, True), (1.0, 1), (1.5, 1), 5):
         CASES[f"{name} {md}"] = ((lambda entry=entry, md=md: entry(md)), MULTIDEGREE)
+# a non-iterable where a sequence belongs, refused by `chains.check_sequence`
+# with the noun of that sequence before any other check of it
+WORD = r"^a word must be a sequence of letters, got 5$"
+CASES.update({
+    "lyndon_columns 5": (lambda: lyndon_columns(5), MULTIDEGREE),
+    "dimension_report multidegree 5": (
+        lambda: dimension_report("necklace", multidegree=5), MULTIDEGREE),
+    "pattern_assignments 5": (lambda: pattern_assignments(5),
+                              r"^a pattern must be a sequence of part sizes, got 5$"),
+    "Chain.of_word 5": (lambda: Chain.of_word(2, 5), WORD),
+    "Chain.coefficient 5": (lambda: CHAIN.coefficient(5), WORD),
+    "choose_head 5": (lambda: choose_head(5, 1), WORD),
+    "relabel_legs 5": (lambda: relabel_legs(_shape(), 5, 2),
+                       r"^leg labels must be a sequence of letters, got 5$"),
+    "reverse 5": (lambda: reverse(5), WORD),
+})
 
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())

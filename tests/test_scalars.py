@@ -60,7 +60,6 @@ def test_make_coefficient():
 
 
 def test_invert_integer():
-    assert invert_integer(4) == Fraction(1, 4)
     assert invert_integer(4, char=7) == 2
     with pytest.raises(ZeroDivisionError):
         invert_integer(3, char=3)

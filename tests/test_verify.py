@@ -5,7 +5,7 @@ import pytest
 
 import swingwords.verify
 from swingwords.chains import Chain, accumulate
-from swingwords.linalg import row_space
+from swingwords.linalg import RowSpace
 from swingwords.moves import eta_word, linear_image
 from swingwords.quotients import PrimeCanonical, canonical_prime, relation_span
 from swingwords.scalars import InputError
@@ -55,6 +55,14 @@ def test_kernel_matches_relations_small():
     for p in (1, 2):
         for n in (1, 2, 3, 4):
             assert kernel_matches_relations(n, p)
+
+
+def row_space(rows) -> RowSpace:
+    """The space over Q spanned by some rows, inserted in order."""
+    space = RowSpace()
+    for row in rows:
+        space.insert(row)
+    return space
 
 
 def test_kernel_check_fails_on_a_wrong_span_block(monkeypatch):
